@@ -41,7 +41,7 @@ func main() {
 		doAud  = flag.Bool("verify", false, "re-check every solver result with the independent certificate auditor")
 		warm   = flag.Bool("warm", true, "seed each placement period's solve from the previous period's final state (cross-period warm starts)")
 		cold   = flag.Bool("cold", false, "force cold per-period solves (overrides -warm)")
-		noIncr = flag.Bool("no-incremental", false, "run the legacy sequential solver mode (no incremental pricing, sequential rounding)")
+		noIncr = flag.Bool("no-incremental", false, "run the legacy solver mode (no incremental pricing)")
 	)
 	profFlags := prof.Register(flag.CommandLine)
 	obsFlags := obs.Register(flag.CommandLine)

@@ -46,7 +46,7 @@ func main() {
 		verbose = flag.Bool("v", false, "per-pass solver progress")
 		doAudit = flag.Bool("verify", false, "re-check the solution with the independent certificate auditor")
 		doWarm  = flag.Bool("warm", false, "after the cold solve, re-solve seeded from its final state and report the convergence saving")
-		noIncr  = flag.Bool("no-incremental", false, "run the legacy sequential solver mode (no incremental pricing, sequential rounding); pins the historical trajectory")
+		noIncr  = flag.Bool("no-incremental", false, "run the legacy solver mode (no incremental pricing); pins the historical trajectory")
 	)
 	profFlags := prof.Register(flag.CommandLine)
 	obsFlags := obs.Register(flag.CommandLine)
@@ -109,7 +109,6 @@ func main() {
 	opts := epf.Options{
 		Seed: *seed, MaxPasses: *passes, Recorder: rec,
 		IncrementalPricing: !*noIncr,
-		ParallelRound:      !*noIncr,
 	}
 	if *verbose {
 		opts.OnPass = func(pi epf.PassInfo) {

@@ -84,7 +84,6 @@ func run() int {
 			// point is re-solve latency, and the -h surface is pinned by
 			// help.golden, so there is no legacy escape flag here.
 			IncrementalPricing: true,
-			ParallelRound:      true,
 		},
 		WarmOff:      *warmOff,
 		UpdateWeight: *updateW,

@@ -97,16 +97,10 @@ type Options struct {
 	// deterministic at any worker count either way; only the default mode's
 	// exact output bytes are pinned.
 	IncrementalPricing bool
-	// ParallelRound dispatches the §V-D rounding and polish block solves
-	// through the worker pool: each rounding chunk freezes the full dual
-	// vector (disk rows included, where the sequential mode re-prices disk
-	// per video), fans the chunk's facility-location solves out to the
-	// workers, and commits the results sequentially in chunk order. Chunk
-	// boundaries are fixed, so the output is deterministic and bit-identical
-	// at any worker or shard count — but the chunk-frozen disk duals change
-	// the rounding trajectory relative to the sequential mode, so like
-	// IncrementalPricing this is a mode bit rather than a transparent
-	// optimization, and the pinned legacy goldens keep it off.
+	// ParallelRound has no effect and is kept only so existing callers
+	// compile: rounding is always the sequential live-price loop, because
+	// speculative parallel rounding redid nearly every solve at live prices
+	// (DESIGN.md §13, "Parallel rounding — a negative result").
 	ParallelRound bool
 	// Warm, when non-nil, seeds the solve from a previous period's final
 	// state (see WarmState): initial placement from the per-video open sets
@@ -395,18 +389,18 @@ type solver struct {
 	pdRowFn    func(w, lo, hi int)
 	pdParallel bool // resolved once: pool > 1 worker and table big enough
 
-	// Parallel rounding state (round.go, Options.ParallelRound): the current
-	// chunk's per-video integer solutions, index-addressed by chunk position
-	// and committed sequentially in chunk order.
-	roundSols   []intSol
-	roundQ0     []float64 // chunk-frozen disk duals, drift baseline
-	roundTaskFn func(w, tag, lo, hi int)
+	// Rounding and polish state (round.go). Those loops run sequentially
+	// with worker 0's scratch; the buffers below make a steady-state visit
+	// allocation-free.
+	roundScratch *workerScratch
+	roundSol     intSol   // the current visit's integer block solution
+	polishWarm   []int32  // the visited block's integer open set (warm seed)
+	step         stepRows // integerStepImproves row accumulator
 
 	// Cross-period warm-start state (Options.Warm / Result.Warm).
-	warmRound bool    // rounding-phase facloc solves seed from warmOpen
-	tauSum    float64 // accepted line-search steps, for the TauHint export
-	tauN      int64
-	lpDelta   float64 // δ at the end of the LP descent (exported hint)
+	tauSum  float64 // accepted line-search steps, for the TauHint export
+	tauN    int64
+	lpDelta float64 // δ at the end of the LP descent (exported hint)
 }
 
 func (s *solver) rowDisk(i int) int    { return i }
@@ -528,10 +522,6 @@ func newSolver(inst *mip.Instance, opts Options) (*solver, error) {
 	s.lbBuf = make([]float64, len(inst.Demands))
 	s.initShards()
 	s.initReduce()
-	if s.opts.ParallelRound {
-		s.initRound()
-	}
-	s.warmRound = s.opts.Warm != nil
 	s.initSolution()
 	s.stats.InitTime = time.Since(initStart)
 	s.opts.Recorder.RecordSpan(s.opts.TraceStream, "init", s.stats.InitTime)
@@ -1550,27 +1540,9 @@ func (s *solver) restoreBest() {
 	}
 }
 
-// toIntSol converts a facility-location solution to an intSol, dropping
-// opened facilities that serve no demand (they only consume disk). Used by
-// the (allocation-tolerant) rounding phase; the descent hot path uses
-// toIntSolInto.
-func toIntSol(fsol *facloc.Solution, d *mip.VideoDemand) intSol {
-	var out intSol
-	var used []bool
-	if len(d.Js) > 0 {
-		max := 0
-		for _, i := range fsol.Open {
-			if i >= max {
-				max = i + 1
-			}
-		}
-		used = make([]bool, max)
-	}
-	toIntSolInto(fsol, d, used, &out)
-	return out
-}
-
-// toIntSolInto is toIntSol writing into out, reusing its backing arrays.
+// toIntSolInto converts a facility-location solution to an intSol in out,
+// reusing its backing arrays and dropping opened facilities that serve no
+// demand (they only consume disk).
 // used is caller scratch (len ≥ every facility index in fsol.Open); it is
 // left all-false on return. fsol.Open is ascending, and the filter below
 // preserves order, so out.open is ascending without sorting.

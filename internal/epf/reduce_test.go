@@ -2,7 +2,6 @@ package epf
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"vodplace/internal/obs"
@@ -91,13 +90,13 @@ func TestMultiLeafReductionSanity(t *testing.T) {
 	}
 }
 
-// The fast mode (IncrementalPricing + ParallelRound, the new defaults at
-// the CLI surfaces) carries the same invariance contract as the legacy
-// mode: bit-identical integer output at any worker and shard count.
+// The fast mode (IncrementalPricing, the default at the CLI surfaces)
+// carries the same invariance contract as the legacy mode: bit-identical
+// integer output at any worker and shard count.
 func TestFastModeWorkerShardInvariance(t *testing.T) {
 	opts := func(workers, shards int) Options {
 		return Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: shards,
-			IncrementalPricing: true, ParallelRound: true}
+			IncrementalPricing: true}
 	}
 	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(1, 0))
 	if err != nil {
@@ -106,8 +105,8 @@ func TestFastModeWorkerShardInvariance(t *testing.T) {
 	if len(base.RowDuals) == 0 {
 		t.Fatal("baseline exported no duals")
 	}
-	for _, workers := range []int{1, 4, 8} {
-		for _, shards := range []int{0, 2, 7} {
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, shards := range []int{0, 1, 3, 7} {
 			if workers == 1 && shards == 0 {
 				continue
 			}
@@ -129,15 +128,56 @@ func TestFastModeWorkerShardInvariance(t *testing.T) {
 	}
 }
 
-// The fast mode's whole traced convergence trajectory is also
-// worker-invariant, not just the final point.
+// Cross-period warm starts (which also warm-start the forced rounding)
+// keep the fast mode worker- and shard-invariant, and the retired
+// ParallelRound flag stays inert: a warm-seeded solve with it set matches
+// the single-worker baseline without it, bit for bit.
+func TestWarmParallelRoundInvariance(t *testing.T) {
+	cold := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
+		Options{Seed: 5, MaxPasses: 20, Workers: 1})
+	opts := func(workers, shards int, parallelRound bool) Options {
+		return Options{Seed: 5, MaxPasses: 30, Workers: workers, Shards: shards,
+			IncrementalPricing: true, ParallelRound: parallelRound, Warm: cold.Warm}
+	}
+	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(1, 0, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallelRound := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			for _, shards := range []int{0, 1, 3, 7} {
+				if workers == 1 && shards == 0 && !parallelRound {
+					continue
+				}
+				res, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100),
+					opts(workers, shards, parallelRound))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
+					t.Errorf("parallelRound=%v workers=%d shards=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
+						parallelRound, workers, shards, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
+				}
+				if !identicalDuals(base.RowDuals, res.RowDuals) {
+					t.Errorf("parallelRound=%v workers=%d shards=%d: row duals differ from baseline",
+						parallelRound, workers, shards)
+				}
+				if !identicalSolutions(base.Sol, res.Sol) {
+					t.Errorf("parallelRound=%v workers=%d shards=%d: warm rounded solutions differ",
+						parallelRound, workers, shards)
+				}
+			}
+		}
+	}
+}
+
 func TestFastModeTracedSeriesInvariance(t *testing.T) {
 	trace := func(workers int) (*Result, []obs.Event) {
 		var buf bytes.Buffer
 		rec := obs.New(&buf)
 		res := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
 			Options{Seed: 5, MaxPasses: 30, Workers: workers, Recorder: rec,
-				IncrementalPricing: true, ParallelRound: true})
+				IncrementalPricing: true})
 		if err := rec.Close(); err != nil {
 			t.Fatalf("recorder close: %v", err)
 		}
@@ -175,98 +215,5 @@ func TestFastModeTracedSeriesInvariance(t *testing.T) {
 					workers, ea.Pass, ea, workers, eb)
 			}
 		}
-	}
-}
-
-// Cross-period warm starts compose with parallel rounding: a warm-seeded
-// fast-mode solve is worker- and shard-invariant.
-func TestWarmParallelRoundInvariance(t *testing.T) {
-	cold := mustSolve(t, randomInstance(t, 9, 8, 60, 2.0, 100),
-		Options{Seed: 5, MaxPasses: 20, Workers: 1})
-	opts := func(workers, shards int) Options {
-		return Options{Seed: 5, MaxPasses: 20, Workers: workers, Shards: shards,
-			IncrementalPricing: true, ParallelRound: true, Warm: cold.Warm}
-	}
-	base, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{4} {
-		for _, shards := range []int{0, 3} {
-			res, err := SolveInteger(randomInstance(t, 9, 8, 60, 2.0, 100), opts(workers, shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Objective != base.Objective || res.LowerBound != base.LowerBound {
-				t.Errorf("workers=%d shards=%d: (%.17g, %.17g) vs baseline (%.17g, %.17g)",
-					workers, shards, res.Objective, res.LowerBound, base.Objective, base.LowerBound)
-			}
-			if !identicalSolutions(base.Sol, res.Sol) {
-				t.Errorf("workers=%d shards=%d: warm rounded solutions differ", workers, shards)
-			}
-		}
-	}
-}
-
-// The allocation contract extends to the parallel rounding path: once the
-// chunk slots and block-row buffers are warm, a full fan-out + commit cycle
-// (the forced-rounding inner loop) allocates nothing. The sequential
-// rounding loop allocates per video (toIntSol); the parallel mode's Into
-// variants are what make rounding allocation-free.
-func TestParallelRoundZeroAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under -race")
-	}
-	inst := randomInstance(t, 11, 10, 90, 2.0, 150)
-	s, err := newSolver(inst, Options{Seed: 3, Workers: 1, IncrementalPricing: true, ParallelRound: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.close()
-	s.ctx = context.Background()
-	s.initDescent()
-	for i := 0; i < 4; i++ {
-		if !s.descentPass() {
-			t.Fatal("warm-up pass cancelled")
-		}
-	}
-	s.retuneScale()
-	var frac []int
-	for vi := range s.sol {
-		if !integralBlock(&s.sol[vi]) {
-			frac = append(frac, vi)
-		}
-	}
-	if len(frac) == 0 {
-		t.Fatal("no fractional videos to round after 4 passes")
-	}
-	chunk := frac
-	if len(chunk) > roundChunk {
-		chunk = chunk[:roundChunk]
-	}
-	cycle := func() {
-		s.computeDuals(s.q)
-		s.computePathDuals(s.q)
-		if !s.parRoundSolve(chunk) {
-			t.Fatal("rounding fan-out cancelled")
-		}
-		for c, vi := range chunk {
-			bs := &s.sol[vi]
-			s.addBlockRows(vi, bs, -1)
-			oldCost := s.blockCost(vi, bs)
-			ns := s.validateRoundSol(c, vi)
-			s.replaceBlock(vi, ns)
-			s.noteRoundSol(vi, ns)
-			s.addBlockRows(vi, bs, +1)
-			s.obj += s.blockCost(vi, bs) - oldCost
-		}
-	}
-	// Warm-up: roundSols capacities and per-block sparse rows grow to steady
-	// state on the first cycles.
-	cycle()
-	cycle()
-	allocs := testing.AllocsPerRun(3, func() { cycle() })
-	if allocs != 0 {
-		t.Errorf("steady-state parallel rounding cycle allocates %g times, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package epf
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,113 +13,10 @@ import (
 // (the shared stack-wide value; see the tolerance block in internal/mip).
 const integralTol = mip.IntegralTol
 
-// debugRound, when non-nil, receives solver snapshots at rounding phase
-// boundaries (test instrumentation only).
-var debugRound func(stage string, s *solver)
-
 // roundChunk is the dual-refresh cadence of the rounding and polish loops:
-// link duals are recomputed once per chunk of this many videos. Also the
-// fan-out granularity of the parallel rounding mode, which freezes the full
-// dual vector per chunk — the constant is mode-independent so sequential
-// and parallel rounding see the same refresh schedule.
+// link duals are recomputed once per chunk of this many videos (disk duals
+// are re-priced per video).
 const roundChunk = 64
-
-// initRound prepares the parallel rounding state (Options.ParallelRound):
-// chunk-position solution slots sized for the rounding chunk, a chunkPos
-// buffer wide enough for it (the adaptive descent ChunkSize may be
-// smaller), and the fan-out body. The body mirrors chunkTaskFn but solves
-// with the full local-search facility location (SolveWarmInto, matching the
-// sequential rounding solves) under the chunk-frozen duals, and does not
-// count toward BlocksOptimized — that counter means descent-loop solves.
-func (s *solver) initRound() {
-	s.roundSols = make([]intSol, roundChunk)
-	for c := range s.roundSols {
-		s.roundSols[c].open = make([]int32, 0, s.n)
-		s.roundSols[c].assign = make([]int32, 0, s.n)
-	}
-	s.roundQ0 = make([]float64, s.n)
-	if len(s.chunkPos) < roundChunk {
-		s.chunkPos = make([]int32, roundChunk)
-	}
-	s.roundTaskFn = func(w, _, lo, hi int) {
-		ws := s.scratch.Get(w)
-		if ws.used == nil {
-			ws.used = make([]bool, s.n)
-		}
-		for idx := lo; idx < hi; idx++ {
-			c := int(s.chunkPos[idx])
-			vi := s.chunk[c]
-			s.buildBlockProblem(vi, s.q, &ws.prob)
-			ws.fs.SolveWarmInto(&ws.prob, &ws.fsol, s.roundWarm(vi))
-			toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.roundSols[c])
-		}
-	}
-}
-
-// parRoundSolve fans the rounding chunk's facility-location solves out to
-// the pool under the chunk-frozen dual vector s.q — a speculative solve:
-// the sequential rounding loop re-prices disk per video so each sees its
-// predecessors' in-chunk pile-up, which the frozen prices cannot. The
-// commit loop repairs that through validateRoundSol: commits run
-// sequentially in chunk order with the sequential mode's per-video disk
-// repricing, and any video whose live disk duals have drifted from the
-// frozen snapshot (s.roundQ0, taken here) is re-solved on the driver at
-// live prices. Uncongested or very large catalogs see ~no drift and keep
-// the full fan-out win; heavy in-chunk pile-up degenerates to the
-// sequential trajectory instead of herding every video onto the same
-// cheap office. All validation state is committed solver state read in
-// chunk order, so the trajectory stays independent of worker and shard
-// counts. Returns false when the fan-out could not run (cancelled
-// context); no solver state was modified.
-func (s *solver) parRoundSolve(chunk []int) bool {
-	s.chunk = chunk
-	s.buildChunkTasks()
-	copy(s.roundQ0, s.q[:s.n])
-	return s.pool.RunTasks(s.ctx, s.tasks, s.roundTaskFn) == nil
-}
-
-// roundDualTol is the relative disk-dual drift beyond which a speculative
-// rounding solve is discarded and re-solved at live prices. Dual prices are
-// exponentials of row load, so a relative change of this size reflects a
-// load shift big enough to redirect a facility choice; drift below it means
-// the frozen-price solve saw effectively current prices.
-const roundDualTol = 0.02
-
-// roundDualsDrifted reports whether any disk dual moved more than
-// roundDualTol (relatively, with an absolute floor for underflowed rows)
-// since the chunk's dual freeze.
-func (s *solver) roundDualsDrifted() bool {
-	for i := 0; i < s.n; i++ {
-		d := s.q[i] - s.roundQ0[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > roundDualTol*s.roundQ0[i]+1e-12 {
-			return true
-		}
-	}
-	return false
-}
-
-// validateRoundSol finalizes chunk position c's speculative solution for
-// video vi: with vi's rows already removed from act (caller), it re-prices
-// disk exactly as the sequential loop would, and if the live prices have
-// drifted from the chunk freeze it re-solves the block on the driver,
-// overwriting the speculative slot. Returns the solution to commit.
-func (s *solver) validateRoundSol(c, vi int) *intSol {
-	s.refreshDiskDuals(s.q)
-	if s.roundDualsDrifted() {
-		s.stats.RoundResolves++
-		ws := s.scratch.Get(0)
-		if ws.used == nil {
-			ws.used = make([]bool, s.n)
-		}
-		s.buildBlockProblem(vi, s.q, &ws.prob)
-		ws.fs.SolveWarmInto(&ws.prob, &ws.fsol, s.roundWarm(vi))
-		toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, &s.roundSols[c])
-	}
-	return &s.roundSols[c]
-}
 
 func integralBlock(bs *blockSol) bool {
 	for _, f := range bs.open {
@@ -152,6 +50,10 @@ func (s *solver) round(res *Result) {
 	// dual prices reduce to pure feasibility pricing exp(α·r_r)) and drives
 	// the scale δ from feasibility alone.
 	s.retuneScale()
+	s.roundScratch = s.scratch.Get(0)
+	if s.roundScratch.used == nil {
+		s.roundScratch.used = make([]bool, s.n)
+	}
 
 	var frac []int
 	for vi := range s.sol {
@@ -178,53 +80,17 @@ func (s *solver) round(res *Result) {
 	// Link duals (whose path aggregation is the expensive part) refresh per
 	// chunk; disk duals refresh per video, because sequential disk pile-up
 	// is exactly what rounding must react to — with frozen disk prices,
-	// every video in a chunk would favor the same cheap office.
-	//
-	// The sequential mode commits one video at a time (each sees its
-	// predecessors' congestion and per-video disk re-pricing), borrowing
-	// worker 0's scratch from the pool: the same facloc buffers the LP
-	// fan-outs warmed up, reused between fan-outs. The parallel mode
-	// (Options.ParallelRound) solves each chunk's blocks concurrently under
-	// the chunk-frozen duals and commits in chunk order.
-	ws := s.scratch.Get(0)
+	// every video in a chunk would favor the same cheap office. Videos
+	// commit one at a time, each seeing its predecessors' congestion.
 	for lo := 0; lo < len(frac); lo += roundChunk {
-		hi := lo + roundChunk
-		if hi > len(frac) {
-			hi = len(frac)
-		}
+		hi := min(lo+roundChunk, len(frac))
 		if s.ctx.Err() != nil {
 			break
 		}
 		s.computeDuals(s.q)
 		s.computePathDuals(s.q)
-		if s.opts.ParallelRound {
-			if !s.parRoundSolve(frac[lo:hi]) {
-				break
-			}
-			for c, vi := range frac[lo:hi] {
-				bs := &s.sol[vi]
-				s.addBlockRows(vi, bs, -1)
-				oldCost := s.blockCost(vi, bs)
-				ns := s.validateRoundSol(c, vi)
-				s.replaceBlock(vi, ns)
-				s.noteRoundSol(vi, ns)
-				s.addBlockRows(vi, bs, +1)
-				s.obj += s.blockCost(vi, bs) - oldCost
-			}
-			continue
-		}
 		for _, vi := range frac[lo:hi] {
-			bs := &s.sol[vi]
-			s.addBlockRows(vi, bs, -1)
-			oldCost := s.blockCost(vi, bs)
-			s.refreshDiskDuals(s.q)
-			s.buildBlockProblem(vi, s.q, &ws.prob)
-			fsol := ws.fs.SolveWarm(&ws.prob, s.roundWarm(vi))
-			ns := toIntSol(&fsol, &s.inst.Demands[vi])
-			s.replaceBlock(vi, &ns)
-			s.noteRoundSol(vi, &ns)
-			s.addBlockRows(vi, bs, +1)
-			s.obj += s.blockCost(vi, bs) - oldCost
+			s.roundVisit(vi, false, false, 0)
 		}
 	}
 
@@ -232,9 +98,6 @@ func (s *solver) round(res *Result) {
 	bestScore := math.Inf(1)
 	haveBest := false
 	s.considerIntegerIncumbent(&bestScore, &haveBest)
-	if debugRound != nil {
-		debugRound("after-forced-rounding", s)
-	}
 	s.polishInteger(&bestScore, &haveBest)
 
 	// Second candidate: threshold rounding of the fractional point (open
@@ -249,9 +112,6 @@ func (s *solver) round(res *Result) {
 			s.recomputeState()
 			s.retuneScale()
 			s.considerIntegerIncumbent(&bestScore, &haveBest)
-			if debugRound != nil {
-				debugRound("after-threshold-rounding", s)
-			}
 			s.polishInteger(&bestScore, &haveBest)
 		}
 	}
@@ -277,7 +137,6 @@ func (s *solver) round(res *Result) {
 // pass and costs about the same per pass.
 func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 	const polishPasses = 6
-	ws := s.scratch.Get(0)
 	order := make([]int, len(s.sol))
 	for i := range order {
 		order[i] = i
@@ -295,10 +154,7 @@ func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 		s.rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		changed := 0
 		for lo := 0; lo < len(order); lo += roundChunk {
-			hi := lo + roundChunk
-			if hi > len(order) {
-				hi = len(order)
-			}
+			hi := min(lo+roundChunk, len(order))
 			s.computeDuals(s.q)
 			s.computePathDuals(s.q)
 			// Moves may not push any row above the chunk-start violation
@@ -315,76 +171,56 @@ func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 			if useMerit {
 				floor = 4 * s.opts.Epsilon
 			}
-			if dcCap < floor {
-				dcCap = floor
-			}
-			if s.opts.ParallelRound {
-				if !s.parRoundSolve(order[lo:hi]) {
-					return
-				}
-				for c, vi := range order[lo:hi] {
-					bs := &s.sol[vi]
-					s.addBlockRows(vi, bs, -1)
-					oldCost := s.blockCost(vi, bs)
-					ns := s.validateRoundSol(c, vi)
-					if s.integerStepImproves(vi, bs, ns, oldCost, useMerit, dcCap) {
-						s.replaceBlock(vi, ns)
-						s.noteRoundSol(vi, ns)
-						changed++
-					}
-					s.addBlockRows(vi, bs, +1)
-					s.obj += s.blockCost(vi, bs) - oldCost
-				}
-				s.considerIntegerIncumbent(bestScore, haveBest)
-				continue
-			}
+			dcCap = max(dcCap, floor)
 			for _, vi := range order[lo:hi] {
-				bs := &s.sol[vi]
-				s.addBlockRows(vi, bs, -1)
-				s.refreshDiskDuals(s.q)
-				oldCost := s.blockCost(vi, bs)
-				s.buildBlockProblem(vi, s.q, &ws.prob)
-				fsol := ws.fs.SolveWarm(&ws.prob, s.roundWarm(vi))
-				ns := toIntSol(&fsol, &s.inst.Demands[vi])
-				if s.integerStepImproves(vi, bs, &ns, oldCost, useMerit, dcCap) {
-					s.replaceBlock(vi, &ns)
-					s.noteRoundSol(vi, &ns)
+				if s.roundVisit(vi, true, useMerit, dcCap) {
 					changed++
 				}
-				s.addBlockRows(vi, bs, +1)
-				s.obj += s.blockCost(vi, bs) - oldCost
 			}
 			s.considerIntegerIncumbent(bestScore, haveBest)
 		}
 		s.retuneScale()
-		if debugRound != nil {
-			debugRound("after-polish-pass", s)
-		}
 		if changed == 0 && !useMerit {
 			break
 		}
 	}
 }
 
-// roundWarm returns the facility-location warm start for video vi in the
-// rounding phase: its latest block open set, maintained across the descent
-// and updated as rounding commits replacements. nil (cold two-start solve,
-// the pinned default behavior) outside cross-period warm mode — the
-// IncrementalPricing-only mode keeps its historical rounding trajectory.
-func (s *solver) roundWarm(vi int) []int32 {
-	if !s.warmRound || s.warmOpen == nil {
-		return nil
+// roundVisit re-solves video vi's integer facility-location block at live
+// duals and commits the result, reporting whether the block changed. Forced
+// rounding (polish false) always commits, its search seeded from the latest
+// descent open set under cross-period warm starts and cold otherwise (the
+// pinned historical trajectory). A polish visit commits only when the step
+// criterion accepts, and seeds the search from the block's current integer
+// open set: the incumbent is already a local optimum of a nearby price
+// vector, so a warm search reaches the new one in a few moves where the
+// cold two-start solve would climb from scratch. Runs sequentially with
+// worker 0's scratch and allocates nothing in steady state.
+func (s *solver) roundVisit(vi int, polish, useMerit bool, dcCap float64) bool {
+	bs := &s.sol[vi]
+	var warm []int32
+	switch {
+	case polish:
+		s.polishWarm = appendWarmOpen(s.polishWarm[:0], bs.open)
+		warm = s.polishWarm
+	case s.opts.Warm != nil:
+		warm = s.warmOpen[vi]
 	}
-	return s.warmOpen[vi]
-}
-
-// noteRoundSol records a committed rounding replacement as video vi's new
-// warm set, so later polish passes seed from the freshest placement.
-func (s *solver) noteRoundSol(vi int, ns *intSol) {
-	if !s.warmRound || s.warmOpen == nil {
-		return
+	s.addBlockRows(vi, bs, -1)
+	s.refreshDiskDuals(s.q)
+	oldCost := s.blockCost(vi, bs)
+	ws := s.roundScratch
+	s.buildBlockProblem(vi, s.q, &ws.prob)
+	ws.fs.SolveWarmInto(&ws.prob, &ws.fsol, warm)
+	ns := &s.roundSol
+	toIntSolInto(&ws.fsol, &s.inst.Demands[vi], ws.used, ns)
+	ok := !polish || s.integerStepImproves(vi, bs, ns, oldCost, useMerit, dcCap)
+	if ok {
+		s.replaceBlock(vi, ns)
 	}
-	s.warmOpen[vi] = append(s.warmOpen[vi][:0], ns.open...)
+	s.addBlockRows(vi, bs, +1)
+	s.obj += s.blockCost(vi, bs) - oldCost
+	return ok
 }
 
 // loadSolution overwrites the solver's per-video state with sol.
@@ -478,54 +314,23 @@ func (s *solver) considerIntegerIncumbent(bestScore *float64, haveBest *bool) {
 // about any move that pushes a busy row further.
 func (s *solver) integerStepImproves(vi int, cur *blockSol, ns *intSol, curCost float64, useMerit bool, dcCap float64) bool {
 	d := &s.inst.Demands[vi]
-	// Blocks touch few rows; sparse maps keep this O(block footprint).
-	curRows := make(map[int]float64, 16)
-	newRows := make(map[int]float64, 16)
+	acc := &s.step
+	acc.reset(s.rows)
 	for _, f := range cur.open {
-		curRows[s.rowDisk(int(f.I))] += d.SizeGB * f.V
+		acc.add(s.rowDisk(int(f.I)), stepCur, d.SizeGB*f.V)
 	}
 	var newCost float64
 	for _, i := range ns.open {
-		newRows[s.rowDisk(int(i))] += d.SizeGB
+		acc.add(s.rowDisk(int(i)), stepNew, d.SizeGB)
 	}
 	for k, fr := range cur.assign {
-		j := int(d.Js[k])
 		for _, f := range fr {
-			if int(f.I) == j || f.V == 0 {
-				continue
-			}
-			path := s.inst.G.Path(int(f.I), j)
-			// CSR nonzeros in ascending t: identical visit order to the dense
-			// scan, so the map accumulation is bit-identical.
-			ts, fv := d.ConcNZ(k)
-			for ti, tt := range ts {
-				flow := d.RateMbps * fv[ti] * f.V
-				if flow == 0 {
-					continue
-				}
-				for _, l := range path {
-					curRows[s.rowLink(int(l), int(tt))] += flow
-				}
-			}
+			s.addStepFlow(d, k, int(f.I), stepCur, f.V)
 		}
 	}
 	for k, i := range ns.assign {
-		j := int(d.Js[k])
-		newCost += d.SizeGB * d.Agg[k] * s.inst.Cost(int(i), j)
-		if int(i) == j {
-			continue
-		}
-		path := s.inst.G.Path(int(i), j)
-		ts, fv := d.ConcNZ(k)
-		for ti, tt := range ts {
-			flow := d.RateMbps * fv[ti]
-			if flow == 0 {
-				continue
-			}
-			for _, l := range path {
-				newRows[s.rowLink(int(l), int(tt))] += flow
-			}
-		}
+		newCost += d.SizeGB * d.Agg[k] * s.inst.Cost(int(i), int(d.Js[k]))
+		s.addStepFlow(d, k, int(i), stepNew, 1)
 	}
 	if s.inst.UpdateWeight != 0 {
 		for _, i := range ns.open {
@@ -533,39 +338,108 @@ func (s *solver) integerStepImproves(vi int, cur *blockSol, ns *intSol, curCost 
 		}
 	}
 	// Trust region: reject replacements that push any row past dcCap.
-	for r, v := range newRows {
-		if (s.act[r]+v)/s.b[r]-1 > dcCap+1e-12 {
+	for _, r := range acc.rows {
+		if acc.side[r]&stepNew != 0 && (s.act[r]+acc.val[stepNew][r])/s.b[r]-1 > dcCap+1e-12 {
 			return false
 		}
 	}
+	newScore, curScore := s.stepScores(useMerit, newCost, curCost)
+	return newScore < curScore*(1-1e-12)
+}
+
+// addStepFlow accumulates into side the link rows of serving demand point
+// k of d from office i with weight w (no rows when i is the demand office
+// itself or the flow vanishes).
+func (s *solver) addStepFlow(d *mip.VideoDemand, k, i int, side uint8, w float64) {
+	j := int(d.Js[k])
+	if i == j {
+		return
+	}
+	path := s.inst.G.Path(i, j)
+	ts, fv := d.ConcNZ(k)
+	for ti, tt := range ts {
+		flow := d.RateMbps * fv[ti] * w
+		if flow == 0 {
+			continue
+		}
+		for _, l := range path {
+			s.step.add(s.rowLink(int(l), int(tt)), side, flow)
+		}
+	}
+}
+
+// stepScores evaluates the accumulated step's criterion for the candidate
+// and for the current block, summing over the touched rows in ascending
+// order. With useMerit it is the Lagrangian merit under the live duals,
+// cost + Σ_r q_r·(block rows)_r (a row the side never touched adds an
+// exact zero); otherwise the restricted potential over the union of
+// touched rows plus the objective row.
+func (s *solver) stepScores(useMerit bool, newCost, curCost float64) (newScore, curScore float64) {
+	acc := &s.step
+	slices.Sort(acc.rows)
 	if useMerit {
-		// Lagrangian merit under the live duals:
-		// cost + Σ_r q_r·(block rows)_r.
-		merit := func(rows map[int]float64, cost float64) float64 {
-			m := cost
-			for r, v := range rows {
-				m += s.q[r] * v
-			}
-			return m
+		newScore, curScore = newCost, curCost
+		for _, r := range acc.rows {
+			newScore += s.q[r] * acc.val[stepNew][r]
+			curScore += s.q[r] * acc.val[stepCur][r]
 		}
-		return merit(newRows, newCost) < merit(curRows, curCost)*(1-1e-12)
+		return newScore, curScore
 	}
-	// Restricted potential over the union of touched rows + objective row.
-	phi := func(rows map[int]float64, cost float64) float64 {
-		var p float64
-		for r := range curRows {
-			p += expClamp(s.alpha * ((s.act[r]+rows[r])/s.b[r] - 1))
-		}
-		for r := range newRows {
-			if _, seen := curRows[r]; seen {
-				continue
-			}
-			p += expClamp(s.alpha * ((s.act[r]+rows[r])/s.b[r] - 1))
-		}
-		p += expClamp(s.alpha * ((s.obj-curCost+cost)/s.bObj - 1))
-		return p
+	for _, r := range acc.rows {
+		newScore += expClamp(s.alpha * ((s.act[r]+acc.val[stepNew][r])/s.b[r] - 1))
+		curScore += expClamp(s.alpha * ((s.act[r]+acc.val[stepCur][r])/s.b[r] - 1))
 	}
-	return phi(newRows, newCost) < phi(curRows, curCost)*(1-1e-12)
+	newScore += expClamp(s.alpha * ((s.obj-curCost+newCost)/s.bObj - 1))
+	curScore += expClamp(s.alpha * ((s.obj-curCost+curCost)/s.bObj - 1))
+	return newScore, curScore
+}
+
+// Sides of a step accumulation: the block's current solution and the
+// candidate replacement.
+const (
+	stepCur uint8 = 1
+	stepNew uint8 = 2
+)
+
+// stepRows accumulates the coupling rows one candidate step touches, for
+// both sides at once, in dense per-row vectors stamped by generation (O(1)
+// reset, no allocation) plus the list of touched rows. The criteria sum
+// over that list in ascending row order, so they depend only on the
+// per-row totals, never on the order rows were first touched in.
+type stepRows struct {
+	val   [stepNew + 1][]float64 // val[side][r]; val[0] unused
+	side  []uint8                // sides that touched row r this generation
+	stamp []uint32
+	gen   uint32
+	rows  []int32
+}
+
+// reset starts a new accumulation over a row space of size rows.
+func (a *stepRows) reset(rows int) {
+	if len(a.stamp) != rows {
+		a.val[stepCur] = make([]float64, rows)
+		a.val[stepNew] = make([]float64, rows)
+		a.side = make([]uint8, rows)
+		a.stamp = make([]uint32, rows)
+		a.gen = 0
+	}
+	a.gen++
+	if a.gen == 0 { // wrapped: stale stamps could collide
+		clear(a.stamp)
+		a.gen = 1
+	}
+	a.rows = a.rows[:0]
+}
+
+// add accumulates v into row r on the given side.
+func (a *stepRows) add(r int, side uint8, v float64) {
+	if a.stamp[r] != a.gen {
+		a.stamp[r] = a.gen
+		a.val[stepCur][r], a.val[stepNew][r], a.side[r] = 0, 0, 0
+		a.rows = append(a.rows, int32(r))
+	}
+	a.side[r] |= side
+	a.val[side][r] += v
 }
 
 // retuneScale re-derives the integer-phase potential from the current

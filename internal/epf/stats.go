@@ -38,10 +38,11 @@ type Stats struct {
 	LBEvals int64
 	// Polishes counts subgradient dual-polish rounds.
 	Polishes int
-	// WarmStartTries / WarmStartHits report the warm-start economy of the
-	// IncrementalPricing mode: block solves seeded from the video's previous
-	// open set, and the subset where that seed's local optimum beat the cold
-	// start. Both zero when the mode is off.
+	// WarmStartTries / WarmStartHits report the warm-start economy: block
+	// solves seeded from a previous open set (descent solves in the
+	// IncrementalPricing mode, every integer polish visit, and forced
+	// rounding under Options.Warm), and the subset where the search improved
+	// on its seed.
 	WarmStartTries int64
 	WarmStartHits  int64
 	// WarmVideos counts videos whose initial point was seeded from a
@@ -69,11 +70,8 @@ type Stats struct {
 	InitTime  time.Duration
 	LPTime    time.Duration
 	RoundTime time.Duration
-	// RoundResolves counts speculative parallel-rounding solves that were
-	// discarded and re-solved at live duals because the disk prices drifted
-	// during the chunk's sequential commits (Options.ParallelRound only).
-	// High counts mean heavy in-chunk disk contention: the parallel rounding
-	// degenerated toward the sequential trajectory to protect quality.
+	// RoundResolves is always zero; it is kept only so existing readers
+	// compile (see Options.ParallelRound).
 	RoundResolves int64
 	// ReduceTime is wall time spent in driver-side reductions of per-block
 	// results: activity/objective rebuilds, Lagrangian term sums, and
@@ -109,9 +107,6 @@ func (st Stats) String() string {
 			b.WriteString(")")
 		}
 		b.WriteString("\n")
-	}
-	if st.RoundResolves > 0 {
-		fmt.Fprintf(&b, "rounding re-solves: %d\n", st.RoundResolves)
 	}
 	fmt.Fprintf(&b, "scratch: %d allocs, %d reuses\n", st.ScratchAllocs, st.ScratchReuses)
 	fmt.Fprintf(&b, "time: init %.2fs, lp %.2fs, rounding %.2fs (reduce %.2fs)",

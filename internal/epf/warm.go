@@ -77,7 +77,7 @@ func (s *solver) exportWarm(res *Result) *WarmState {
 		w.TauHint = s.tauSum / float64(s.tauN)
 	}
 	for vi := range s.sol {
-		open := warmOpenSet(s.sol[vi].open)
+		open := appendWarmOpen(nil, s.sol[vi].open)
 		if len(open) == 0 {
 			continue
 		}
@@ -86,11 +86,11 @@ func (s *solver) exportWarm(res *Result) *WarmState {
 	return w
 }
 
-// warmOpenSet extracts the integral open set of a block: offices with
-// y ≥ ½, falling back to the largest-y office when the block is spread thin.
-// The input is ascending, so the output is too.
-func warmOpenSet(open []mip.Frac) []int32 {
-	var out []int32
+// appendWarmOpen appends the integral open set of a block to dst: offices
+// with y ≥ ½, falling back to the largest-y office when the block is spread
+// thin. The input is ascending, so the appended run is too.
+func appendWarmOpen(dst []int32, open []mip.Frac) []int32 {
+	n0 := len(dst)
 	var best int32 = -1
 	var bestV float64
 	for _, f := range open {
@@ -98,13 +98,13 @@ func warmOpenSet(open []mip.Frac) []int32 {
 			bestV, best = f.V, f.I
 		}
 		if f.V >= 0.5 {
-			out = append(out, f.I)
+			dst = append(dst, f.I)
 		}
 	}
-	if len(out) == 0 && best >= 0 {
-		out = append(out, best)
+	if len(dst) == n0 && best >= 0 {
+		dst = append(dst, best)
 	}
-	return out
+	return dst
 }
 
 // warmVideoOpen returns the valid warm open set for video index vi, or nil

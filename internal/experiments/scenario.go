@@ -63,8 +63,8 @@ type Config struct {
 	// warm solves change floating-point trajectories, so figure outputs
 	// differ slightly (never beyond the certified tolerance).
 	Warm bool
-	// NoIncremental disables the fast solver defaults (incremental pricing
-	// and parallel rounding), pinning the legacy sequential trajectory.
+	// NoIncremental disables the fast solver default (incremental pricing),
+	// pinning the legacy trajectory.
 	NoIncremental bool
 	// Recorder threads the telemetry layer (internal/obs) through every
 	// solver and simulator run an experiment performs. nil disables it.
@@ -125,7 +125,6 @@ func (c Config) solver() epf.Options {
 		Seed: c.Seed, MaxPasses: c.MaxPasses, Epsilon: c.Epsilon,
 		Shards: c.Shards, Recorder: c.Recorder,
 		IncrementalPricing: !c.NoIncremental,
-		ParallelRound:      !c.NoIncremental,
 	}
 }
 

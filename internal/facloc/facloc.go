@@ -326,20 +326,14 @@ func (s *Solver) SolveInto(p *Problem, out *Solution) {
 	s.extractInto(p, kk, out)
 }
 
-// SolveWarm is Solve started from a warm open set (ascending facility
-// indices) instead of the two cold starts: the full add/drop/swap local
-// search runs from the warm set alone. With an empty warm set it is exactly
-// Solve. Used by the epf rounding phase under cross-period warm starts,
-// where the previous period's placement usually sits a couple of moves from
-// the new optimum and the cold starts' long climbs are the dominant cost.
-func (s *Solver) SolveWarm(p *Problem, warm []int32) Solution {
-	var out Solution
-	s.SolveWarmInto(p, &out, warm)
-	return out
-}
-
-// SolveWarmInto is SolveWarm writing the result into out, reusing its
-// backing arrays.
+// SolveWarmInto is Solve started from a warm open set (ascending facility
+// indices) instead of the two cold starts, writing the result into out and
+// reusing its backing arrays: the full add/drop/swap local search runs from
+// the warm set alone. With an empty warm set it is exactly Solve. The epf
+// integer polish seeds it with each video's current open set, and forced
+// rounding under cross-period warm starts with the previous period's; the
+// seed usually sits a couple of moves from the new optimum, and the cold
+// starts' long climbs are the dominant cost.
 func (s *Solver) SolveWarmInto(p *Problem, out *Solution, warm []int32) {
 	if len(warm) == 0 {
 		s.SolveInto(p, out)
@@ -347,7 +341,7 @@ func (s *Solver) SolveWarmInto(p *Problem, out *Solution, warm []int32) {
 	}
 	n, kk := p.NumFacilities(), p.NumDemands()
 	if n == 0 {
-		panic("facloc: SolveWarm with no facilities")
+		panic("facloc: SolveWarmInto with no facilities")
 	}
 	s.reserve(n, kk)
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -14,10 +15,10 @@ import (
 // only kind the daemon ever swaps in) sit exactly at 0 or 1.
 const openY = 0.5
 
-// Snapshot is one immutable view of the data plane: a placement, the
-// instance it was solved on, and a fully precomputed route table answering
-// "which office serves video m for office j" with a single array read. A
-// snapshot is never mutated after construction; the server swaps whole
+// Snapshot is one view of the data plane: a placement, the instance it was
+// solved on, and a fully precomputed route table answering "which office
+// serves video m for office j" with a single array read. The snapshot's own
+// fields are never mutated after construction; the server swaps whole
 // snapshots through an atomic pointer, so readers see either the old or the
 // new placement in full — never a torn mix.
 type Snapshot struct {
@@ -25,10 +26,18 @@ type Snapshot struct {
 	// placement is version 1 and every audit-approved re-solve increments
 	// it by one.
 	Version uint64
-	// Inst and Sol are the solved placement this snapshot serves. Both are
-	// treated as immutable from the moment the snapshot is built.
+	// Inst is the instance the placement was solved on. It is NOT frozen:
+	// delta re-solves patch the dirty demand rows of the shared live
+	// instance in place, so a published snapshot's Inst may already carry
+	// newer demand than its placement was solved for. The route table never
+	// reads demand, only the immutable topology and cost matrix.
 	Inst *mip.Instance
-	Sol  *mip.Solution
+	// Sol is the solved placement, immutable from the moment the snapshot
+	// is built. Incremental builds share the per-video slices of every
+	// placement that did not change with the previous snapshot's Sol, so
+	// successive snapshots retain only their changed videos; that sharing
+	// is safe only because no Sol is ever written after publication.
+	Sol *mip.Solution
 	// Certified reports that the placement passed the independent
 	// certificate auditor (internal/verify) before it was swapped in.
 	Certified bool
@@ -76,8 +85,11 @@ func buildSnapshot(inst *mip.Instance, sol *mip.Solution, version uint64, certif
 // only on the open set and the immutable cost matrix — so the incremental
 // result is byte-for-byte the full rebuild's; the dirty list is the
 // belt-and-braces invalidation for rows whose demand moved under the same
-// open set. Returns the snapshot and the number of rows actually recomputed
-// (== the video count on a full build).
+// open set. In the same mode every sol.Videos[vi] whose placement equals
+// prev.Sol.Videos[vi] is pointed at prev's slices, so the new snapshot
+// retains only the placements that changed; sol must not be mutated
+// afterwards. Returns the snapshot and the number of rows actually
+// recomputed (== the video count on a full build).
 func buildSnapshotFrom(prev *Snapshot, dirty []int, inst *mip.Instance, sol *mip.Solution, version uint64, certified bool) (*Snapshot, int64, error) {
 	if inst == nil || sol == nil {
 		return nil, 0, fmt.Errorf("serve: nil instance or solution")
@@ -91,6 +103,8 @@ func buildSnapshotFrom(prev *Snapshot, dirty []int, inst *mip.Instance, sol *mip
 	n := inst.NumVHOs()
 	nv := len(inst.Demands)
 	incr := prev != nil && prev.Inst == inst && prev.n == n && len(prev.openOff) == nv+1
+	// Sharing writes sol.Videos, so never when sol is the published one.
+	share := incr && prev.Sol != sol && len(prev.Sol.Videos) == nv
 
 	s := &Snapshot{
 		Version:   version,
@@ -153,6 +167,9 @@ func buildSnapshotFrom(prev *Snapshot, dirty []int, inst *mip.Instance, sol *mip
 		s.openIdx = append(s.openIdx, open...)
 		s.openOff[vi+1] = int32(len(s.openIdx))
 
+		if share && samePlacement(&sol.Videos[vi], &prev.Sol.Videos[vi]) {
+			sol.Videos[vi] = prev.Sol.Videos[vi]
+		}
 		row := s.route[vi*n : (vi+1)*n]
 		if incr {
 			for di < len(dirty) && dirty[di] < vi {
@@ -199,6 +216,12 @@ func openSetEqual(a, b []int32) bool {
 		}
 	}
 	return true
+}
+
+// samePlacement reports whether two video placements hold equal open and
+// assignment entries.
+func samePlacement(a, b *mip.VideoPlacement) bool {
+	return slices.Equal(a.Open, b.Open) && slices.EqualFunc(a.Assign, b.Assign, slices.Equal[[]mip.Frac])
 }
 
 // routeDelta counts route-table entries that differ between two snapshots,

@@ -222,10 +222,10 @@ func diffInstance(rep *DiffReport, seed int64, o Options) error {
 
 	diffInteger(rep, inst, seed, opt, "", epfOpts)
 
-	// Mode matrix: every IncrementalPricing/Warm/ParallelRound combination
-	// the CLIs can select must hold the legacy mode's certificates on the
-	// same corpus. This sweep is what gated graduating incremental pricing
-	// (with parallel rounding) and warm starts from opt-in to default: a mode
+	// Mode matrix: every IncrementalPricing/Warm combination the CLIs can
+	// select (legacy being the run above) must hold the legacy mode's
+	// certificates on the same corpus. This sweep is what gated graduating
+	// incremental pricing and warm starts from opt-in to default: a mode
 	// whose bound ever overshot the exact optimum, or whose objective left
 	// the LP band, would fail here before it could ship as a default.
 	modes := []struct {
@@ -234,16 +234,13 @@ func diffInstance(rep *DiffReport, seed int64, o Options) error {
 	}{
 		{"incremental", func(mo *epf.Options) {
 			mo.IncrementalPricing = true
-			mo.ParallelRound = true
 		}},
 		{"warm", func(mo *epf.Options) {
 			mo.Warm = res.Warm
-			mo.ParallelRound = true
 		}},
 		{"incremental+warm", func(mo *epf.Options) {
 			mo.IncrementalPricing = true
 			mo.Warm = res.Warm
-			mo.ParallelRound = true
 		}},
 	}
 	for _, m := range modes {
@@ -299,11 +296,10 @@ func diffInstance(rep *DiffReport, seed int64, o Options) error {
 		}
 	}
 
-	// The integer pipeline in the new default mode (incremental pricing with
-	// parallel rounding; cold, matching a first-period CLI solve).
+	// The integer pipeline in the default mode (incremental pricing; cold,
+	// matching a first-period CLI solve).
 	fastOpts := epfOpts
 	fastOpts.IncrementalPricing = true
-	fastOpts.ParallelRound = true
 	diffInteger(rep, inst, seed, opt, "fast ", fastOpts)
 	return nil
 }
