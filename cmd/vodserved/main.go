@@ -38,6 +38,18 @@ import (
 	"vodplace/internal/workload"
 )
 
+// Public listener limits, so slow or hostile clients cannot pin
+// connections: a request's headers must arrive within readHeaderTimeout and
+// the whole request (a /demand body is at most 1 MiB) within readTimeout,
+// idle keep-alive connections close after idleTimeout, and request headers
+// are capped at maxHeaderBytes.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
 func main() {
 	os.Exit(run())
 }
@@ -179,7 +191,13 @@ func serveMain(addr, addrFile string, gen genConfig, cfg serve.Config) int {
 	}
 	fmt.Printf("listening on %s\n", bound)
 
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

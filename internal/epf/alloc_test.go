@@ -43,8 +43,8 @@ func TestDescentPassZeroAllocations(t *testing.T) {
 }
 
 // The same contract for the incremental-pricing fast path: the delta-update
-// machinery (qPrev snapshot, reverse-incidence scatter, Newton line search,
-// warm-start open sets) must also run allocation-free once warm.
+// machinery (qPrev snapshot, reverse-incidence scatter, warm-start open
+// sets) must also run allocation-free once warm.
 func TestDescentPassZeroAllocationsIncremental(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")

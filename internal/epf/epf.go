@@ -89,9 +89,9 @@ type Options struct {
 	NoShuffle bool
 	// IncrementalPricing enables the opt-in fast-pricing mode: path duals
 	// are delta-updated from the links whose prices actually moved (with a
-	// periodic full rebuild to bound drift), the line search switches to a
-	// safeguarded Newton iteration, and block facility-location solves warm
-	// start from the video's previous solution. These change floating-point
+	// periodic full rebuild to bound drift), and block facility-location
+	// solves warm start from the video's previous solution. The line search
+	// is the same fixed bisection in every mode (see lineSearch). These change floating-point
 	// trajectories, so the mode is off by default — the default solve is
 	// bit-identical across releases (CLI goldens pin it). Results remain
 	// deterministic at any worker count either way; only the default mode's
@@ -106,8 +106,8 @@ type Options struct {
 	// state (see WarmState): initial placement from the per-video open sets
 	// (unknown video IDs fall back to the cold init), initial lower bound
 	// and smoothed duals from the previous row duals when the coupling-row
-	// dimensions match, penalty scale and line-search step from the previous
-	// descent, and facility-location warm starts in both the descent and the
+	// dimensions match, penalty scale from the previous descent, and
+	// facility-location warm starts in both the descent and the
 	// rounding phase. Like IncrementalPricing this changes floating-point
 	// trajectories (not correctness — every bound is re-derived on the new
 	// instance and the usual certificates hold), so it is opt-in and the
@@ -398,8 +398,6 @@ type solver struct {
 	step         stepRows // integerStepImproves row accumulator
 
 	// Cross-period warm-start state (Options.Warm / Result.Warm).
-	tauSum  float64 // accepted line-search steps, for the TauHint export
-	tauN    int64
 	lpDelta float64 // δ at the end of the LP descent (exported hint)
 }
 
@@ -1643,10 +1641,6 @@ func (s *solver) applyBlock(vi int, ns *intSol) {
 
 	tau := s.lineSearch(dObj)
 	if tau > 0 {
-		// Sequential-apply path (driver goroutine): safe to accumulate the
-		// step statistics the warm-state export reports as TauHint.
-		s.tauSum += tau
-		s.tauN++
 		// Remove the old block's rows and cost, replace the block, add the
 		// new (mixed and y-tightened) contribution back.
 		s.addBlockRows(vi, old, -1)

@@ -128,6 +128,17 @@ func (s *solver) round(res *Result) {
 	*res = *rounded
 }
 
+// Integer polish budget per start: at most polishPasses passes, and a start
+// stops once polishStall consecutive passes leave the shared incumbent
+// unchanged. Passes after a start's first rarely improve the incumbent: on
+// an 84-solve sweep the three-pass rule changed no output while running
+// about two thirds of the passes, where a two-pass rule changed outputs
+// (EXPERIMENTS.md, "Polish stall and open-set snapshots").
+const (
+	polishPasses = 6
+	polishStall  = 3
+)
+
 // polishInteger runs integer polish passes on the current integral point:
 // every video is re-solved at live duals and replaced when the step
 // criterion accepts; the shared incumbent tracks the best visited point.
@@ -135,16 +146,25 @@ func (s *solver) round(res *Result) {
 // badly once later videos have landed (e.g. stacked on an office the duals
 // later discover is overfull); this is the integer analogue of a gradient
 // pass and costs about the same per pass.
+//
+// A stalled start still draws the shuffles of the passes it skips, so the
+// random stream any later start sees does not depend on where this one
+// stalled.
 func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
-	const polishPasses = 6
 	order := make([]int, len(s.sol))
 	for i := range order {
 		order[i] = i
 	}
+	stalled := 0
 	for pass := 0; pass < polishPasses; pass++ {
 		if s.ctx.Err() != nil {
 			return
 		}
+		if stalled >= polishStall {
+			s.rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+			continue
+		}
+		s.stats.PolishPasses++
 		// Alternate the acceptance criterion: Lagrangian merit is
 		// objective-aggressive (it will buy cost savings at priced
 		// violations), the restricted potential is feasibility-conservative.
@@ -153,6 +173,7 @@ func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 		useMerit := pass%2 == 0
 		s.rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		changed := 0
+		improved := false
 		for lo := 0; lo < len(order); lo += roundChunk {
 			hi := min(lo+roundChunk, len(order))
 			s.computeDuals(s.q)
@@ -177,11 +198,18 @@ func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 					changed++
 				}
 			}
-			s.considerIntegerIncumbent(bestScore, haveBest)
+			if s.considerIntegerIncumbent(bestScore, haveBest) {
+				improved = true
+			}
 		}
 		s.retuneScale()
 		if changed == 0 && !useMerit {
 			break
+		}
+		if improved {
+			stalled = 0
+		} else {
+			stalled++
 		}
 	}
 }
@@ -279,9 +307,10 @@ func thresholdRound(inst *mip.Instance, frac *mip.Solution) *mip.Solution {
 
 // considerIntegerIncumbent scores the current integer point — objective with
 // a steep penalty for coupling violations beyond ε — and snapshots it if it
-// beats the incumbent. The polish loop can wander (duals refresh between
-// chunks), so the best visited point, not the last, is returned.
-func (s *solver) considerIntegerIncumbent(bestScore *float64, haveBest *bool) {
+// beats the incumbent, reporting whether it did. The polish loop can wander
+// (duals refresh between chunks), so the best visited point, not the last,
+// is returned.
+func (s *solver) considerIntegerIncumbent(bestScore *float64, haveBest *bool) bool {
 	dc, _ := s.maxCouplingViol()
 	over := dc - s.opts.Epsilon
 	if over < 0 {
@@ -295,11 +324,13 @@ func (s *solver) considerIntegerIncumbent(bestScore *float64, haveBest *bool) {
 	if s.obj <= 0 {
 		score = over // all-local placements compete on violation alone
 	}
-	if score < *bestScore {
-		*bestScore = score
-		s.snapshotBest()
-		*haveBest = true
+	if score >= *bestScore {
+		return false
 	}
+	*bestScore = score
+	s.snapshotBest()
+	*haveBest = true
+	return true
 }
 
 // integerStepImproves decides whether replacing block vi's current solution

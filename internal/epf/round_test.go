@@ -95,3 +95,40 @@ func TestPolishVisitZeroAllocations(t *testing.T) {
 		}
 	}
 }
+
+// A stalled polish start still draws the shuffles of the passes it skips,
+// so after round the solver's random stream stands exactly where it would
+// if every pass of both starts had run — the threshold start and anything
+// after it see the same stream as before the stall rule existed. (The
+// older changed == 0 exit does not draw them; on this instance it never
+// fires.)
+func TestPolishStallKeepsRandomStream(t *testing.T) {
+	inst := randomInstance(t, 11, 10, 90, 2.0, 150)
+	opts := Options{Seed: 3, Workers: 1, IncrementalPricing: true, MaxPasses: 6}
+	solved := func() *solver {
+		s, err := newSolver(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.close)
+		return s
+	}
+	got := solved()
+	res := got.run(context.Background())
+	got.round(res)
+	if got.stats.PolishPasses >= 2*polishPasses {
+		t.Fatalf("%d polish passes: no start stalled, the test instance no longer exercises the rule", got.stats.PolishPasses)
+	}
+
+	want := solved()
+	want.run(context.Background())
+	order := make([]int, len(want.sol))
+	for range 2 * polishPasses {
+		want.rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+	}
+	for i := range 4 {
+		if g, w := got.rng.Int63(), want.rng.Int63(); g != w {
+			t.Fatalf("draw %d after round: %d, want %d (%d polish passes ran)", i, g, w, got.stats.PolishPasses)
+		}
+	}
+}

@@ -38,6 +38,10 @@ type Stats struct {
 	LBEvals int64
 	// Polishes counts subgradient dual-polish rounds.
 	Polishes int
+	// PolishPasses counts the integer polish passes actually run, over both
+	// rounding starts: at most 2·6, fewer when a start stalls (three passes
+	// without a new incumbent) or converges.
+	PolishPasses int
 	// WarmStartTries / WarmStartHits report the warm-start economy: block
 	// solves seeded from a previous open set (descent solves in the
 	// IncrementalPricing mode, every integer polish visit, and forced
@@ -90,7 +94,8 @@ func (st Stats) String() string {
 	}
 	fmt.Fprintf(&b, "blocks optimized %d, lb block solves %d, lb evals %d, polish rounds %d\n",
 		st.BlocksOptimized, st.LBBlockSolves, st.LBEvals, st.Polishes)
-	fmt.Fprintf(&b, "dual refreshes %d, line searches %d\n", st.DualRefreshes, st.LineSearches)
+	fmt.Fprintf(&b, "dual refreshes %d, line searches %d, integer polish passes %d\n",
+		st.DualRefreshes, st.LineSearches, st.PolishPasses)
 	if st.WarmStartTries > 0 {
 		fmt.Fprintf(&b, "warm starts: %d tried, %d won\n", st.WarmStartTries, st.WarmStartHits)
 	}

@@ -14,11 +14,11 @@ type WarmVideo struct {
 }
 
 // WarmState is the cross-period carryover exported on every Result: the
-// final Lagrangian row duals, the descent's final penalty scale, a
-// line-search step hint, and each video's final open office set keyed by the
-// catalog's stable video ID. A later solve over a shifted instance accepts
-// it via Options.Warm to seed its initial point, its initial lower bound and
-// its facility-location local searches.
+// final Lagrangian row duals, the descent's final penalty scale, and each
+// video's final open office set keyed by the catalog's stable video ID. A
+// later solve over a shifted instance accepts it via Options.Warm to seed
+// its initial point, its initial lower bound and its facility-location
+// local searches.
 //
 // Staleness rules: the dual vector is used only when its dimension matches
 // the new instance's coupling rows exactly (same office count, link count
@@ -37,26 +37,8 @@ type WarmState struct {
 	RowDuals []float64
 	// Delta is the penalty scale δ the previous LP descent ended at.
 	Delta float64
-	// TauHint is the mean accepted line-search step of the previous descent.
-	// Advisory telemetry: the fixed-bisection line search no longer consumes
-	// it (the Newton variant that did was rejected for plateau drift), but
-	// it stays in the state so pipelines can track step-regime shifts across
-	// periods.
-	TauHint float64
 	// Videos maps catalog video ID → final open set.
 	Videos map[int]WarmVideo
-	// Shards records the producing solve's shard layout (video-index ranges,
-	// in order). Purely informational carryover for telemetry and debugging:
-	// consuming solves resolve their own layout from their instance and
-	// options and never read this field, so a stale layout can't skew a
-	// warm solve.
-	Shards []WarmShard
-}
-
-// WarmShard is one catalog shard [Lo, Hi) of the solve that produced a
-// WarmState, in that solve's video-index space.
-type WarmShard struct {
-	Lo, Hi int
 }
 
 // exportWarm captures the solver's final state as a WarmState. Called from
@@ -68,13 +50,6 @@ func (s *solver) exportWarm(res *Result) *WarmState {
 		RowDuals: res.RowDuals,
 		Delta:    s.lpDelta,
 		Videos:   make(map[int]WarmVideo, len(s.sol)),
-		Shards:   make([]WarmShard, len(s.shards)),
-	}
-	for si, sp := range s.shards {
-		w.Shards[si] = WarmShard{Lo: sp.lo, Hi: sp.hi}
-	}
-	if s.tauN > 0 {
-		w.TauHint = s.tauSum / float64(s.tauN)
 	}
 	for vi := range s.sol {
 		open := appendWarmOpen(nil, s.sol[vi].open)
@@ -176,7 +151,7 @@ func (s *solver) seedWarmDescent() {
 		s.lbScale = 1
 		s.retargetB()
 	}
-	// δ and τ hints describe where the previous descent's *guided* trajectory
+	// The δ hint describes where the previous descent's *guided* trajectory
 	// ended; without the dual guidance (stale vector rejected above) a small
 	// δ over the concentrated warm point sends the exponential penalties into
 	// overdrive and the descent thrashes — so they ride only with the duals.

@@ -31,8 +31,10 @@ func TestWarmExport(t *testing.T) {
 	if w.Delta <= 0 {
 		t.Errorf("exported Delta = %g, want > 0", w.Delta)
 	}
-	if w.TauHint < 0 || w.TauHint > 1 {
-		t.Errorf("exported TauHint = %g outside [0,1]", w.TauHint)
+	for r := range w.RowDuals {
+		if w.RowDuals[r] != res.RowDuals[r] {
+			t.Fatalf("warm dual %d = %g, result certified with %g", r, w.RowDuals[r], res.RowDuals[r])
+		}
 	}
 	if len(w.Videos) != len(inst.Demands) {
 		t.Fatalf("warm state covers %d videos, instance has %d", len(w.Videos), len(inst.Demands))
@@ -160,7 +162,6 @@ func TestWarmCatalogChurn(t *testing.T) {
 	w := &WarmState{
 		RowDuals: cold.Warm.RowDuals,
 		Delta:    cold.Warm.Delta,
-		TauHint:  cold.Warm.TauHint,
 		Videos:   make(map[int]WarmVideo, len(cold.Warm.Videos)),
 	}
 	dropped := 0
@@ -197,8 +198,8 @@ func TestWarmCatalogChurn(t *testing.T) {
 }
 
 // TestColdPathUnchangedByWarmPlumbing: Options without Warm must produce the
-// exact bytes the pre-warm solver produced — the export of warm state and the
-// tau bookkeeping must be numerically inert.
+// exact bytes the pre-warm solver produced — the export of warm state must
+// be numerically inert.
 func TestColdPathUnchangedByWarmPlumbing(t *testing.T) {
 	inst := randomInstance(t, 23, 8, 60, 2.0, 200)
 	a, err := SolveInteger(inst, Options{Seed: 9, MaxPasses: 200})

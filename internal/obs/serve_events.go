@@ -28,7 +28,7 @@ type ServeResolve struct {
 	AuditMS  float64 `json:"auditms"`  // done: certification wall time
 	BuildMS  float64 `json:"buildms"`  // done, swapped: snapshot build+publish wall time
 	Dirty    int     `json:"dirty"`    // done: demand-dirty videos this attempt resolved
-	Rebuilt  int64   `json:"rebuilt"`  // done, swapped: route rows recomputed (vs copied) by the snapshot build
+	Rebuilt  int64   `json:"rebuilt"`  // done, swapped: route rows re-derived against the previous snapshot (see ServeSwap)
 	TMS      float64 `json:"tms"`      // ms since recorder start (stamped by the recorder)
 }
 
@@ -36,12 +36,13 @@ type ServeResolve struct {
 // routing answer changed.
 type ServeSwap struct {
 	Version int64   `json:"version"` // the new snapshot's version
-	RDelta  int64   `json:"rdelta"`  // route-table entries that changed vs. the previous snapshot
+	RDelta  int64   `json:"rdelta"`  // (video, office) route answers that changed vs. the previous snapshot
 	BuildMS float64 `json:"buildms"` // snapshot build+publish wall time
-	// Rebuilt/Rows report the snapshot build's delta economy: of the Rows
-	// route rows (one per video), Rebuilt were recomputed and the rest
-	// copied from the previous snapshot. Rebuilt == Rows on a full rebuild;
-	// both zero in traces from pre-delta releases.
+	// Rebuilt/Rows report the swap's delta economy: of the Rows route rows
+	// (one per video), Rebuilt had to be re-derived against the previous
+	// snapshot — those whose open set changed on the delta path, all of
+	// them after a full instance rebuild; the rest provably answer as
+	// before. Both zero in traces from pre-delta releases.
 	Rebuilt int64   `json:"rebuilt"`
 	Rows    int64   `json:"rows"`
 	TMS     float64 `json:"tms"`

@@ -77,15 +77,15 @@ func BenchmarkServeRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkServeSnapshotBuild measures the control-plane cost of
-// precomputing a full route table after a re-solve.
+// BenchmarkServeSnapshotBuild measures the control-plane cost of building
+// a snapshot's open-set lists after a re-solve.
 func BenchmarkServeSnapshotBuild(b *testing.B) {
-	s := testServer(b, 200, 10, 42)
-	snap := s.Snapshot()
+	s, sol := solvedServer(b, 200, 10, 42)
+	inst := s.Snapshot().Inst
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := buildSnapshot(snap.Inst, snap.Sol, uint64(i+2), true); err != nil {
+		if _, err := buildSnapshot(inst, sol, uint64(i+2), true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -67,7 +68,7 @@ func syntheticInstance(tb testing.TB, videos, vhos, slices int, seed int64) *mip
 }
 
 // onePerVideoSolution opens office vi%n for every video — the cheapest
-// placement shape that exercises the route table without a solver run.
+// placement shape that exercises the snapshot build without a solver run.
 func onePerVideoSolution(inst *mip.Instance) *mip.Solution {
 	n := inst.NumVHOs()
 	sol := &mip.Solution{Inst: inst, Videos: make([]mip.VideoPlacement, len(inst.Demands))}
@@ -79,7 +80,7 @@ func onePerVideoSolution(inst *mip.Instance) *mip.Solution {
 
 // deltaFx is the shared 100k-video fixture for the resolve benchmarks,
 // built once: a live instance, its demand state, a synthetic placement and
-// the published snapshot the incremental builds chain from.
+// the published snapshot.
 var deltaFx struct {
 	once sync.Once
 	inst *mip.Instance
@@ -106,9 +107,9 @@ func deltaFixture(b *testing.B) {
 
 // benchmarkResolveDelta measures one delta resolve step minus the solver:
 // fold a k-video update batch into the state, patch the live instance's
-// dirty rows in place, and build the next snapshot incrementally from the
-// previous one. The solver is excluded on purpose — its cost depends on
-// convergence, not on the delta plumbing this benchmark isolates.
+// dirty rows in place, and build the next snapshot's open-set lists. The
+// solver is excluded on purpose — its cost depends on convergence, not on
+// the delta plumbing this benchmark isolates.
 func benchmarkResolveDelta(b *testing.B, k int) {
 	deltaFixture(b)
 	videos := len(deltaFx.inst.Demands)
@@ -127,12 +128,9 @@ func benchmarkResolveDelta(b *testing.B, k int) {
 			b.Fatal(err)
 		}
 		deltaFx.ver++
-		snap, rebuilt, err := buildSnapshotFrom(deltaFx.snap, dirty, deltaFx.inst, deltaFx.sol, deltaFx.ver, true)
+		snap, err := buildSnapshot(deltaFx.inst, deltaFx.sol, deltaFx.ver, true)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if rebuilt != int64(len(dirty)) {
-			b.Fatalf("rebuilt %d rows for %d dirty videos (incremental mode not engaged?)", rebuilt, len(dirty))
 		}
 		deltaFx.snap = snap
 	}
@@ -145,7 +143,7 @@ func BenchmarkResolveDelta1000of100k(b *testing.B) { benchmarkResolveDelta(b, 10
 
 // BenchmarkResolveFull100k is the pre-delta baseline the ResolveDelta
 // benchmarks are compared against: the same update batch, then a full
-// catalog re-stream and a from-scratch route-table build.
+// catalog re-stream into a fresh instance and a snapshot build on it.
 func BenchmarkResolveFull100k(b *testing.B) {
 	deltaFixture(b)
 	videos := len(deltaFx.inst.Demands)
@@ -166,7 +164,7 @@ func BenchmarkResolveFull100k(b *testing.B) {
 		}
 		sol := &mip.Solution{Inst: inst, Videos: deltaFx.sol.Videos}
 		deltaFx.ver++
-		if _, _, err := buildSnapshotFrom(nil, nil, inst, sol, deltaFx.ver, true); err != nil {
+		if _, err := buildSnapshot(inst, sol, deltaFx.ver, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -285,18 +283,12 @@ func equalInstanceDemands(t *testing.T, got, want *mip.Instance) {
 }
 
 // equalSnapshots fails the test unless both snapshots answer every routing
-// question identically: same route table bytes, same id mapping, same
-// recorded open sets.
+// question identically: same cost table, same id mapping, same recorded
+// open sets.
 func equalSnapshots(t *testing.T, round int, got, want *Snapshot) {
 	t.Helper()
-	if got.n != want.n || len(got.route) != len(want.route) {
-		t.Fatalf("round %d: table shape %dx%d, want %dx%d", round, len(got.route), got.n, len(want.route), want.n)
-	}
-	for i := range want.route {
-		if got.route[i] != want.route[i] {
-			t.Fatalf("round %d: route[%d] = %d, want %d (video index %d, vho %d)",
-				round, i, got.route[i], want.route[i], i/got.n, i%got.n)
-		}
+	if got.n != want.n || !slices.Equal(got.cost, want.cost) {
+		t.Fatalf("round %d: cost tables differ (%d vs %d offices)", round, got.n, want.n)
 	}
 	if len(got.vidIdx) != len(want.vidIdx) {
 		t.Fatalf("round %d: vidIdx length %d, want %d", round, len(got.vidIdx), len(want.vidIdx))
@@ -321,17 +313,19 @@ func equalSnapshots(t *testing.T, round int, got, want *Snapshot) {
 	}
 }
 
-// TestDeltaSnapshotEquivalence is the differential test of the tentpole:
+// TestDeltaSnapshotEquivalence is the differential test of the delta path:
 // random demand-delta sequences are folded into two identical states; one
-// side patches a live instance and builds snapshots incrementally, the
-// other re-streams the catalog and builds from scratch every round. The
-// patched instance (rows, CSR, shard tallies) and the incremental snapshot
-// (route table, id map, open CSR) must stay byte-identical to the rebuilt
-// ones through every round, including rows negative updates empty out.
+// side patches a live instance, the other re-streams the catalog every
+// round, and both build a snapshot of the same placement. The patched
+// instance (rows, CSR, shard tallies) and its snapshot (id map, open CSR,
+// cost table) must stay byte-identical to the rebuilt ones through every
+// round, including rows negative updates empty out. The swap telemetry
+// must re-derive exactly the videos whose open set changed on the delta
+// side and every video on the rebuild side.
 func TestDeltaSnapshotEquivalence(t *testing.T) {
-	const videos, vhos, slices, rounds = 300, 8, 2, 12
+	const videos, vhos, nSlices, rounds = 300, 8, 2, 12
 	rng := rand.New(rand.NewSource(17))
-	base := syntheticInstance(t, videos, vhos, slices, 5)
+	base := syntheticInstance(t, videos, vhos, nSlices, 5)
 	stA := stateFromInstance(base)
 	stB := stateFromInstance(base)
 	live, err := stA.instance(base)
@@ -340,7 +334,7 @@ func TestDeltaSnapshotEquivalence(t *testing.T) {
 	}
 
 	// The placement both sides share, mutated between rounds so the
-	// incremental build sees open-set churn on top of demand churn.
+	// snapshots see open-set churn on top of demand churn.
 	open := make([][]mip.Frac, videos)
 	for vi := range open {
 		open[vi] = []mip.Frac{{I: int32(vi % vhos), V: 1}}
@@ -356,8 +350,8 @@ func TestDeltaSnapshotEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snapB := snapA
 
-	sawPartial := false
 	for round := 1; round <= rounds; round++ {
 		// Random batch: a handful of videos, positive and negative adds —
 		// occasionally violent enough to empty a row entirely.
@@ -388,44 +382,54 @@ func TestDeltaSnapshotEquivalence(t *testing.T) {
 			}
 			open[vi] = set
 		}
+		moved := 0
+		for vi := range open {
+			if !slices.Equal(open[vi], snapFrac(snapA, vi)) {
+				moved++
+			}
+		}
 
-		// Delta side: patch the live instance, build incrementally.
+		// Delta side: patch the live instance, build on it.
 		dirty := stA.drainDirty()
 		if err := stA.patchInstance(live, dirty); err != nil {
 			t.Fatalf("round %d: patch: %v", round, err)
 		}
 		vids := buildVids()
-		next, rebuilt, err := buildSnapshotFrom(snapA, dirty, live, &mip.Solution{Inst: live, Videos: vids}, uint64(round+1), true)
+		next, err := buildSnapshot(live, &mip.Solution{Inst: live, Videos: vids}, uint64(round+1), true)
 		if err != nil {
-			t.Fatalf("round %d: incremental build: %v", round, err)
+			t.Fatalf("round %d: delta build: %v", round, err)
+		}
+		if _, rebuilt := routeDelta(snapA, next); rebuilt != int64(moved) {
+			t.Fatalf("round %d: re-derived %d rows, want the %d videos whose open set moved", round, rebuilt, moved)
 		}
 		snapA = next
-		if rebuilt < int64(len(dirty)) {
-			t.Fatalf("round %d: rebuilt %d rows for %d dirty videos", round, rebuilt, len(dirty))
-		}
-		if rebuilt < int64(videos) {
-			sawPartial = true
-		}
 
-		// Rebuild side: fresh instance, from-scratch snapshot.
+		// Rebuild side: fresh instance, fresh snapshot.
 		instB, err := stB.instance(base)
 		if err != nil {
 			t.Fatalf("round %d: rebuild: %v", round, err)
 		}
-		snapB, fullRows, err := buildSnapshotFrom(nil, nil, instB, &mip.Solution{Inst: instB, Videos: vids}, uint64(round+1), true)
+		nextB, err := buildSnapshot(instB, &mip.Solution{Inst: instB, Videos: vids}, uint64(round+1), true)
 		if err != nil {
 			t.Fatalf("round %d: full build: %v", round, err)
 		}
-		if fullRows != int64(videos) {
-			t.Fatalf("round %d: full build rebuilt %d rows, want %d", round, fullRows, videos)
+		if _, rebuilt := routeDelta(snapB, nextB); rebuilt != int64(videos) {
+			t.Fatalf("round %d: full build re-derived %d rows, want %d", round, rebuilt, videos)
 		}
+		snapB = nextB
 
 		equalInstanceDemands(t, live, instB)
 		equalSnapshots(t, round, snapA, snapB)
 	}
-	if !sawPartial {
-		t.Fatal("incremental build never copied a row; the delta path was not exercised")
+}
+
+// snapFrac returns video index vi's open set in snap as unit fractions.
+func snapFrac(snap *Snapshot, vi int) []mip.Frac {
+	var out []mip.Frac
+	for _, i := range snap.open(int32(vi)) {
+		out = append(out, mip.Frac{I: i, V: 1})
 	}
+	return out
 }
 
 // TestDeltaMatchesFullResolve runs the whole resolver both ways: two

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"testing"
 
 	"vodplace/internal/mip"
@@ -24,11 +25,12 @@ func (f *fuzzBytes) next() byte {
 }
 
 // FuzzRouteTable feeds arbitrary hand-built placements and topologies to the
-// route-table builder and checks its contract: it never panics, every route
-// it answers is a feasible open copy with minimal transfer cost (lowest
-// office index on ties), and pairs with no open copy are reported
-// unreachable — never mis-routed to a default office. Placements naming
-// out-of-range offices must be rejected with an error at build time.
+// snapshot builder and the lookup-time cheapest-copy scan, and checks their
+// contract: neither panics, every route answered is a feasible open copy
+// with minimal transfer cost (lowest office index on ties), and pairs with
+// no open copy are reported unreachable — never mis-routed to a default
+// office. Placements naming out-of-range offices must be rejected with an
+// error at build time.
 func FuzzRouteTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 0xff, 4, 2, 1, 3, 2, 1, 0x03, 2, 1, 80, 2, 60})
@@ -121,6 +123,9 @@ func FuzzRouteTable(f *testing.F) {
 					if want != -1 {
 						t.Fatalf("video %d vho %d reported unreachable, but office %d holds a copy", qid, j, want)
 					}
+					if _, status := snap.AppendRoute(nil, qid, j); status == 200 {
+						t.Fatalf("video %d vho %d: Route not ok but AppendRoute answered 200", qid, j)
+					}
 					continue
 				}
 				if office != want {
@@ -136,10 +141,11 @@ func FuzzRouteTable(f *testing.F) {
 				if !feasible {
 					t.Fatalf("video %d vho %d routed to office %d which holds no open copy", qid, j, office)
 				}
-				// And the encoder agrees with the table.
+				// And the encoder agrees with the lookup.
 				buf, status := snap.AppendRoute(nil, qid, j)
-				if status != 200 {
-					t.Fatalf("Route ok but AppendRoute returned %d: %s", status, buf)
+				var rr routeResp
+				if err := json.Unmarshal(buf, &rr); err != nil || status != 200 || rr.Serve != office {
+					t.Fatalf("Route says office %d but AppendRoute returned %d: %s", office, status, buf)
 				}
 			}
 		}

@@ -172,14 +172,12 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	out := placementJSON{
 		Version:   snap.Version,
 		Certified: snap.Certified,
-		Videos:    make([]placementRow, len(snap.Sol.Videos)),
+		Videos:    make([]placementRow, snap.NumVideos()),
 	}
-	for vi := range snap.Sol.Videos {
+	for vi := range out.Videos {
 		row := placementRow{Video: snap.Inst.Demands[vi].Video, Open: []int{}}
-		for _, f := range snap.Sol.Videos[vi].Open {
-			if f.V >= openY {
-				row.Open = append(row.Open, int(f.I))
-			}
+		for _, i := range snap.open(int32(vi)) {
+			row.Open = append(row.Open, int(i))
 		}
 		out.Videos[vi] = row
 	}
@@ -221,6 +219,7 @@ type statusJSON struct {
 		Unconverged   int64 `json:"unconverged"`
 		Cancelled     int64 `json:"cancelled"`
 		Failed        int64 `json:"failed"`
+		Panicked      int64 `json:"panicked"`
 	} `json:"resolves"`
 }
 
@@ -256,6 +255,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	out.Resolves.Unconverged = s.unconverged.Value()
 	out.Resolves.Cancelled = s.resolvesCancel.Value()
 	out.Resolves.Failed = s.resolvesFailed.Value()
+	out.Resolves.Panicked = s.resolvesPanicked.Value()
 	writeJSON(w, http.StatusOK, out)
 }
 

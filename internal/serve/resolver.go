@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"runtime/debug"
 	"time"
 
 	"vodplace/internal/epf"
@@ -47,21 +47,32 @@ func (s *Server) kickResolve() {
 // solves it (warm-started from the last swapped-in solve unless disabled),
 // audits the result, and — only if the audit passes and the solve converged
 // — swaps a new snapshot in. The default delta path patches just the
-// demand-dirty videos of the live instance in place (state.patchInstance)
-// and hands the incremental snapshot build the set of videos dirtied since
-// the published snapshot, so both the instance refresh and the route-table
-// build cost O(changed) instead of O(catalog); DeltaOff (or a patch
-// failure) falls back to the full re-stream, which is bit-identical
-// (DESIGN.md §15). On any rejection the old snapshot keeps serving, the
-// matching counter is incremented, and the reject reason is kept for
-// /status; a cancellation (shutdown) discards the partial solve. The whole
-// attempt is bracketed by serve_resolve start/done trace events (done
-// carries the dirty count and rows rebuilt), and a swap additionally emits
-// serve_swap with the route-table churn and delta economy. Returns the
-// swapped-in snapshot, or nil when nothing was swapped.
-func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
+// demand-dirty videos of the live instance in place (state.patchInstance),
+// so the instance refresh costs O(changed) instead of O(catalog); DeltaOff
+// (or a patch failure) falls back to the full re-stream, which is
+// bit-identical (DESIGN.md §15). The snapshot build records only open sets,
+// O(open copies), so it needs no invalidation list. On any rejection the
+// old snapshot keeps serving, the matching counter is incremented, and the
+// reject reason is kept for /status; a cancellation (shutdown) discards the
+// partial solve. The whole attempt is bracketed by serve_resolve start/done
+// trace events (done carries the dirty count and rows re-derived), and a
+// swap additionally emits serve_swap with the route churn. A panic on the
+// resolver goroutine is contained like any other failure (see
+// resolvePanicked). Returns the swapped-in snapshot, or nil when nothing
+// was swapped.
+func (s *Server) resolveOnce(ctx context.Context) (snap *Snapshot, err error) {
 	s.mu.Lock()
+	locked, started := true, false
+	defer func() {
+		if r := recover(); r != nil {
+			if locked {
+				s.mu.Unlock()
+			}
+			snap, err = nil, s.resolvePanicked(r, started)
+		}
+	}()
 	if !s.dirty {
+		locked = false
 		s.mu.Unlock()
 		return nil, nil
 	}
@@ -69,7 +80,6 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	dirty := s.state.drainDirty()
 	catalog := len(s.state.rows)
 	var inst *mip.Instance
-	var err error
 	delta := !s.cfg.DeltaOff && s.live != nil
 	if delta {
 		inst = s.live
@@ -92,20 +102,9 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 			s.live = nil
 		}
 	}
-	// Remember what this attempt dirtied until a snapshot actually
-	// publishes: a rejected attempt leaves its patches in the live
-	// instance, so the next successful build must still treat those rows
-	// as suspect.
-	for _, vi := range dirty {
-		s.snapDirty[vi] = struct{}{}
-	}
-	snapDirty := make([]int, 0, len(s.snapDirty))
-	for vi := range s.snapDirty {
-		snapDirty = append(snapDirty, vi)
-	}
-	sort.Ints(snapDirty)
 	warm := s.warm
 	driftAtSolve := s.state.drift
+	locked = false
 	s.mu.Unlock()
 	s.resolvesStarted.Add(1)
 	if delta && catalog > 0 {
@@ -119,6 +118,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	rec.RecordServeResolve(obs.ServeResolve{
 		Phase: "start", Version: int64(cur.Version + 1), Trigger: "demand",
 	})
+	started = true
 	// done accumulates the attempt's outcome; every return path below emits
 	// it exactly once.
 	done := obs.ServeResolve{
@@ -151,7 +151,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 		opts.DirtyVideos = dirty
 	}
 	tSolve := time.Now()
-	res, err := epf.SolveIntegerContext(ctx, inst, opts)
+	res, err := solveInteger(ctx, inst, opts)
 	done.SolveMS = float64(time.Since(tSolve).Nanoseconds()) / 1e6
 	if res != nil {
 		done.Passes = res.Passes
@@ -200,7 +200,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	}
 
 	tBuild := time.Now()
-	snap, rebuilt, err := buildSnapshotFrom(cur, snapDirty, inst, res.Sol, cur.Version+1, true)
+	snap, err = buildSnapshot(inst, res.Sol, cur.Version+1, true)
 	if err != nil {
 		s.resolvesFailed.Add(1)
 		done.Verdict, done.Reason = "failed", err.Error()
@@ -208,7 +208,7 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 		s.setLastReject("snapshot build failed: " + err.Error())
 		return nil, fmt.Errorf("serve: building snapshot: %w", err)
 	}
-	rdelta := routeDelta(cur, snap)
+	rdelta, rebuilt := routeDelta(cur, snap)
 	s.store.Store(snap)
 	done.BuildMS = float64(time.Since(tBuild).Nanoseconds()) / 1e6
 	done.Rebuilt = rebuilt
@@ -216,8 +216,6 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	s.warm = res.Warm
 	s.lastPasses = res.Passes
 	s.lastGap = res.Gap
-	// The published snapshot now reflects every row dirtied so far.
-	clear(s.snapDirty)
 	// The swap covered the demand mass captured at solve start; whatever
 	// arrived since stays counted as drift against the new snapshot.
 	s.state.drift -= driftAtSolve
@@ -237,6 +235,37 @@ func (s *Server) resolveOnce(ctx context.Context) (*Snapshot, error) {
 	return snap, nil
 }
 
+// solveInteger is the re-solve entry point, a variable so tests can inject a
+// failing solver.
+var solveInteger = epf.SolveIntegerContext
+
+// resolvePanicked contains a panic raised on the resolver goroutine during
+// a resolve attempt: the attempt ends with verdict failed and the panic
+// text as its reason, serve.resolves_panicked (and resolves_failed) count
+// it, and the published snapshot keeps serving. The live instance is
+// dropped — the panic may have left it half-patched — so the next attempt
+// rebuilds it from the demand state, which still holds every accepted
+// update. The attempt's serve_resolve start is emitted here when the panic
+// came before it, so the trace stays bracketed.
+func (s *Server) resolvePanicked(r any, started bool) error {
+	reason := fmt.Sprintf("panic: %v", r)
+	s.resolvesFailed.Add(1)
+	s.resolvesPanicked.Add(1)
+	s.mu.Lock()
+	s.live = nil
+	s.lastReject = reason
+	s.mu.Unlock()
+	cur := s.store.Load()
+	ev := obs.ServeResolve{Phase: "start", Version: int64(cur.Version + 1), Trigger: "demand"}
+	if !started {
+		s.cfg.Recorder.RecordServeResolve(ev)
+	}
+	ev.Phase, ev.Verdict, ev.Reason = "done", "failed", reason
+	s.cfg.Recorder.RecordServeResolve(ev)
+	s.logf("serve: resolve %s, keeping v%d\n%s", reason, cur.Version, debug.Stack())
+	return fmt.Errorf("serve: resolve %s", reason)
+}
+
 // originsFromSnapshot maps each video of the new instance to an office
 // currently serving it (the migration-cost origin of objective (11)).
 // Videos the served placement does not hold get the −1 "no prior copy"
@@ -253,11 +282,8 @@ func originsFromSnapshot(inst *mip.Instance, snap *Snapshot) []int32 {
 		if pv < 0 {
 			continue
 		}
-		for _, f := range snap.Sol.Videos[pv].Open {
-			if f.V >= openY {
-				out[vi] = f.I
-				break
-			}
+		if open := snap.open(pv); len(open) > 0 {
+			out[vi] = open[0]
 		}
 	}
 	return out

@@ -1,15 +1,16 @@
 // Package serve turns the batch placement solver into a control plane
 // behind a long-running data plane. The data plane answers routing lookups
 // ("which office serves video m for office j?") from an immutable,
-// atomically-swapped Snapshot whose route tables are fully precomputed, so
-// the hot path is array reads plus a JSON encode into a reused buffer —
-// zero steady-state allocations. The control plane accepts streamed demand
-// updates, re-solves the placement LP in the background with cross-period
-// warm starts (epf.WarmState), and swaps a new snapshot in only after the
-// independent certificate auditor (verify.Audit) passes; a rejected solve
-// keeps the old snapshot serving and increments a counter. The data plane
-// never blocks on the control plane: lookups hit whatever snapshot is
-// current, re-solves happen entirely off the request path.
+// atomically-swapped Snapshot that lists each video's open copies, so the
+// hot path is an id lookup, a scan of those copies against the cost table
+// and a JSON encode into a reused buffer — zero steady-state allocations.
+// The control plane accepts streamed demand updates, re-solves the
+// placement LP in the background with cross-period warm starts
+// (epf.WarmState), and swaps a new snapshot in only after the independent
+// certificate auditor (verify.Audit) passes; a rejected solve keeps the
+// old snapshot serving and increments a counter. The data plane never
+// blocks on the control plane: lookups hit whatever snapshot is current,
+// re-solves happen entirely off the request path.
 //
 // See DESIGN.md §12 for the service architecture.
 package serve
@@ -42,12 +43,11 @@ type Config struct {
 	// taken from the live snapshot), damping churn between snapshots.
 	UpdateWeight float64
 	// DeltaOff disables the delta resolve path: every re-solve re-streams
-	// the whole catalog into a fresh instance and rebuilds the full route
-	// table, as pre-delta releases did. Default off — the resolver patches
-	// the dirty videos of its live instance in place and the snapshot build
-	// recomputes only rows whose open set or demand changed. Both paths
-	// produce bit-identical snapshots (DESIGN.md §15); this switch exists
-	// for differential tests and as an operational escape hatch.
+	// the whole catalog into a fresh instance, as pre-delta releases did.
+	// Default off — the resolver patches the dirty videos of its live
+	// instance in place. Both paths produce bit-identical snapshots
+	// (DESIGN.md §15); this switch exists for differential tests and as an
+	// operational escape hatch.
 	DeltaOff bool
 	// Metrics receives the server's counters; a fresh private registry is
 	// created when nil. The same instruments back the /status endpoint.
@@ -87,11 +87,6 @@ type Server struct {
 	// it, and only demand-side fields — the identity fields snapshot
 	// readers touch are immutable under a patch.
 	live *mip.Instance
-	// snapDirty accumulates the videos dirtied since the published
-	// snapshot was built — across rejected resolve attempts, whose patches
-	// stick to live without publishing — and is cleared on a swap. It is
-	// the invalidation list handed to the incremental snapshot build.
-	snapDirty map[int]struct{}
 	// lastPasses/lastGap describe the most recent swapped-in solve;
 	// lastReject the most recent rejected one ("" until a re-solve is
 	// rejected). Both survive across swaps so /status always explains the
@@ -121,6 +116,9 @@ type Server struct {
 	unconverged     *expvar.Int
 	resolvesCancel  *expvar.Int
 	resolvesFailed  *expvar.Int
+	// resolvesPanicked counts the failed attempts that were contained
+	// panics (a subset of resolvesFailed).
+	resolvesPanicked *expvar.Int
 	// Sampled gauges (see sampleGauges).
 	ageGauge   *expvar.Float
 	driftGauge *expvar.Float
@@ -169,9 +167,10 @@ func New(inst *mip.Instance, cfg Config) (*Server, error) {
 // audit-checked) initial placement. Callers that did not run verify.Audit
 // themselves should use New.
 //
-// Like New, the server takes ownership of inst (and of res.Sol, which the
-// initial snapshot aliases): delta re-solves patch inst's demand rows in
-// place, so callers must not retain either for reuse or comparison.
+// Like New, the server takes ownership of inst: delta re-solves patch its
+// demand rows in place, so callers must not retain it for reuse or
+// comparison. The snapshot copies res.Sol's open sets and keeps no
+// reference to res.Sol.
 func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, error) {
 	snap, err := buildSnapshot(inst, res.Sol, 1, true)
 	if err != nil {
@@ -188,7 +187,6 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 		state:      stateFromInstance(inst),
 		warm:       res.Warm,
 		live:       inst,
-		snapDirty:  make(map[int]struct{}),
 		lastPasses: res.Passes,
 		lastGap:    res.Gap,
 		resolveCh:  make(chan struct{}, 1),
@@ -196,18 +194,19 @@ func NewWithResult(inst *mip.Instance, res *epf.Result, cfg Config) (*Server, er
 		done:       make(chan struct{}),
 		metrics:    m,
 
-		routeRequests:   m.Counter("serve.route_requests"),
-		routeErrors:     m.Counter("serve.route_errors"),
-		demandUpdates:   m.Counter("serve.demand_updates"),
-		resolvesStarted: m.Counter("serve.resolves_started"),
-		resolvesSwapped: m.Counter("serve.resolves_swapped"),
-		auditRejected:   m.Counter("serve.audit_rejected"),
-		unconverged:     m.Counter("serve.unconverged_rejected"),
-		resolvesCancel:  m.Counter("serve.resolves_cancelled"),
-		resolvesFailed:  m.Counter("serve.resolves_failed"),
-		ageGauge:        m.Gauge("serve.snapshot_age_seconds"),
-		driftGauge:      m.Gauge("serve.demand_drift"),
-		deltaGauge:      m.Gauge("serve.delta_fraction"),
+		routeRequests:    m.Counter("serve.route_requests"),
+		routeErrors:      m.Counter("serve.route_errors"),
+		demandUpdates:    m.Counter("serve.demand_updates"),
+		resolvesStarted:  m.Counter("serve.resolves_started"),
+		resolvesSwapped:  m.Counter("serve.resolves_swapped"),
+		auditRejected:    m.Counter("serve.audit_rejected"),
+		unconverged:      m.Counter("serve.unconverged_rejected"),
+		resolvesCancel:   m.Counter("serve.resolves_cancelled"),
+		resolvesFailed:   m.Counter("serve.resolves_failed"),
+		resolvesPanicked: m.Counter("serve.resolves_panicked"),
+		ageGauge:         m.Gauge("serve.snapshot_age_seconds"),
+		driftGauge:       m.Gauge("serve.demand_drift"),
+		deltaGauge:       m.Gauge("serve.delta_fraction"),
 
 		reqRoute:     obs.NewReqStat("route"),
 		reqPlacement: obs.NewReqStat("placement"),
@@ -299,6 +298,9 @@ type Stats struct {
 	Unconverged     int64
 	Cancelled       int64
 	Failed          int64
+	// Panicked counts failed re-solves that were contained panics (a
+	// subset of Failed).
+	Panicked int64
 	// LastReject explains the most recent rejected re-solve ("" when every
 	// re-solve so far swapped in).
 	LastReject string
@@ -328,5 +330,6 @@ func (s *Server) Stats() Stats {
 		Unconverged:     s.unconverged.Value(),
 		Cancelled:       s.resolvesCancel.Value(),
 		Failed:          s.resolvesFailed.Value(),
+		Panicked:        s.resolvesPanicked.Value(),
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"vodplace/internal/epf"
 	"vodplace/internal/mip"
 	"vodplace/internal/topology"
+	"vodplace/internal/verify"
 	"vodplace/internal/workload"
 )
 
@@ -52,27 +53,52 @@ func testInstance(tb testing.TB, videos, vhos int, seed int64) *mip.Instance {
 // settings (re-solves must pass the Converged gate to swap).
 func testServer(tb testing.TB, videos, vhos int, seed int64) *Server {
 	tb.Helper()
-	inst := testInstance(tb, videos, vhos, seed)
-	s, err := New(inst, Config{Solver: epf.Options{Seed: seed, MaxPasses: 200, Epsilon: 0.02}})
-	if err != nil {
-		tb.Fatalf("serve.New: %v", err)
-	}
-	tb.Cleanup(s.Close)
+	s, _ := solvedServer(tb, videos, vhos, seed)
 	return s
 }
 
-// cheapestCopy is the from-scratch recomputation the route table is checked
+// solvedServer is testServer that also returns the audited initial
+// placement the server publishes as v1. The snapshot keeps only open sets,
+// so tests that check answers against the solution hold it themselves.
+func solvedServer(tb testing.TB, videos, vhos int, seed int64) (*Server, *mip.Solution) {
+	tb.Helper()
+	inst := testInstance(tb, videos, vhos, seed)
+	cfg := Config{Solver: epf.Options{Seed: seed, MaxPasses: 200, Epsilon: 0.02}}
+	res, err := epf.SolveInteger(inst, cfg.Solver)
+	if err != nil {
+		tb.Fatalf("initial solve: %v", err)
+	}
+	if rep := verify.Audit(inst, res); !rep.Ok() {
+		tb.Fatalf("initial placement failed audit: %v", rep.Err())
+	}
+	s, err := NewWithResult(inst, res, cfg)
+	if err != nil {
+		tb.Fatalf("serve.NewWithResult: %v", err)
+	}
+	tb.Cleanup(s.Close)
+	return s, res.Sol
+}
+
+// cheapestCopy is the from-scratch recomputation routes are checked
 // against: scan the video's open copies (y ≥ 0.5) and return the office
 // with minimal transfer cost to j, lowest index on ties; -1 when none.
 func cheapestCopy(inst *mip.Instance, sol *mip.Solution, vi, j int) int {
-	best, bestCost := -1, 0.0
+	var open []int
 	for _, f := range sol.Videos[vi].Open {
-		if f.V < openY {
-			continue
+		if f.V >= openY {
+			open = append(open, int(f.I))
 		}
-		c := inst.Cost(int(f.I), j)
-		if best == -1 || c < bestCost || (c == bestCost && int(f.I) < best) {
-			best, bestCost = int(f.I), c
+	}
+	return cheapestOf(inst, open, j)
+}
+
+// cheapestOf is cheapestCopy over an explicit open-office list.
+func cheapestOf(inst *mip.Instance, open []int, j int) int {
+	best, bestCost := -1, 0.0
+	for _, i := range open {
+		c := inst.Cost(i, j)
+		if best == -1 || c < bestCost || (c == bestCost && i < best) {
+			best, bestCost = i, c
 		}
 	}
 	return best
@@ -106,12 +132,11 @@ func getJSON(tb testing.TB, ts *httptest.Server, path string, out any) int {
 // TestRouteCorrectness cross-checks every (video, vho) pair the server can
 // be asked about against the from-scratch cheapest-copy recomputation.
 func TestRouteCorrectness(t *testing.T) {
-	s := testServer(t, 40, 8, 1)
+	s, sol := solvedServer(t, 40, 8, 1)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	snap := s.Snapshot()
-	inst, sol := snap.Inst, snap.Sol
+	inst := s.Snapshot().Inst
 	checked := 0
 	for vi := range inst.Demands {
 		id := inst.Demands[vi].Video
@@ -242,7 +267,7 @@ func uniform(n int, v float64) []float64 {
 }
 
 func TestPlacementEndpoint(t *testing.T) {
-	s := testServer(t, 25, 6, 3)
+	s, sol := solvedServer(t, 25, 6, 3)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -261,15 +286,15 @@ func TestPlacementEndpoint(t *testing.T) {
 	if got.Version != 1 || !got.Certified {
 		t.Errorf("version %d certified %v, want 1/true", got.Version, got.Certified)
 	}
-	if len(got.Videos) != len(snap.Sol.Videos) {
-		t.Fatalf("%d videos in response, want %d", len(got.Videos), len(snap.Sol.Videos))
+	if len(got.Videos) != len(sol.Videos) {
+		t.Fatalf("%d videos in response, want %d", len(got.Videos), len(sol.Videos))
 	}
 	for vi, row := range got.Videos {
 		if row.Video != snap.Inst.Demands[vi].Video {
 			t.Errorf("video %d: id %d, want %d", vi, row.Video, snap.Inst.Demands[vi].Video)
 		}
 		var want []int
-		for _, f := range snap.Sol.Videos[vi].Open {
+		for _, f := range sol.Videos[vi].Open {
 			if f.V >= openY {
 				want = append(want, int(f.I))
 			}
@@ -414,11 +439,21 @@ func TestDemandEndpoint(t *testing.T) {
 	if got := s.Stats().ResolvesSwapped; got < 1 {
 		t.Errorf("resolves_swapped %d, want >= 1", got)
 	}
-	// Routes answered from the new snapshot remain internally consistent.
+	// Routes answered from the new snapshot agree with the placement it
+	// publishes.
+	var placed struct {
+		Version uint64 `json:"version"`
+		Videos  []struct {
+			Open []int `json:"open"`
+		} `json:"videos"`
+	}
+	if code := getJSON(t, ts, "/placement", &placed); code != 200 || placed.Version != next.Version {
+		t.Fatalf("/placement: status %d version %d, want 200 v%d", code, placed.Version, next.Version)
+	}
 	for j := 0; j < next.NumVHOs(); j++ {
 		var rr routeResp
 		codeJ := getJSON(t, ts, fmt.Sprintf("/route?video=%d&vho=%d", id, j), &rr)
-		want := cheapestCopy(next.Inst, next.Sol, 0, j)
+		want := cheapestOf(next.Inst, placed.Videos[0].Open, j)
 		if want < 0 {
 			continue
 		}

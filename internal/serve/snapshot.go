@@ -15,12 +15,15 @@ import (
 // only kind the daemon ever swaps in) sit exactly at 0 or 1.
 const openY = 0.5
 
-// Snapshot is one view of the data plane: a placement, the instance it was
-// solved on, and a fully precomputed route table answering "which office
-// serves video m for office j" with a single array read. The snapshot's own
-// fields are never mutated after construction; the server swaps whole
-// snapshots through an atomic pointer, so readers see either the old or the
-// new placement in full — never a torn mix.
+// Snapshot is one view of the data plane: a placement's open sets, the
+// instance it was solved on, and the id map answering "which office serves
+// video m for office j". A lookup scans the video's open copies against the
+// instance's immutable cost table, so a snapshot costs what its open copies
+// cost — not videos × offices — and keeps no reference to the solve's
+// mip.Solution. The snapshot's own fields are never mutated after
+// construction; the server swaps whole snapshots through an atomic pointer,
+// so readers see either the old or the new placement in full — never a torn
+// mix.
 type Snapshot struct {
 	// Version is the monotone snapshot sequence number; the initial
 	// placement is version 1 and every audit-approved re-solve increments
@@ -29,15 +32,9 @@ type Snapshot struct {
 	// Inst is the instance the placement was solved on. It is NOT frozen:
 	// delta re-solves patch the dirty demand rows of the shared live
 	// instance in place, so a published snapshot's Inst may already carry
-	// newer demand than its placement was solved for. The route table never
-	// reads demand, only the immutable topology and cost matrix.
+	// newer demand than its placement was solved for. Lookups never read
+	// demand, only the immutable library ids and cost table.
 	Inst *mip.Instance
-	// Sol is the solved placement, immutable from the moment the snapshot
-	// is built. Incremental builds share the per-video slices of every
-	// placement that did not change with the previous snapshot's Sol, so
-	// successive snapshots retain only their changed videos; that sharing
-	// is safe only because no Sol is ever written after publication.
-	Sol *mip.Solution
 	// Certified reports that the placement passed the independent
 	// certificate auditor (internal/verify) before it was swapped in.
 	Certified bool
@@ -45,198 +42,139 @@ type Snapshot struct {
 	// snapshot-age gauge report staleness relative to it.
 	BuiltAt time.Time
 
-	// route[vi*n+j] is the serving office for instance video vi requested
-	// at office j, or -1 when the video has no open copy (unreachable).
-	route []int32
 	// vidIdx[id] maps a library video ID to its instance index, -1 when the
 	// video is not part of this placement. Flat so the hot path is one
 	// bounds check and one load, no map hashing.
 	vidIdx []int32
 	n      int
+	// cost[j*n+i] is the transfer cost c_ij (mip.Instance.CostColumns),
+	// shared with the instance: one destination's costs are contiguous.
+	cost []float64
 
 	// openOff/openIdx record each video's thresholded open set (the y ≥
 	// openY offices, in solution order) in CSR form: video vi's open offices
-	// are openIdx[openOff[vi]:openOff[vi+1]]. A route row is a pure function
-	// of this set and the (immutable) cost matrix, so the incremental
-	// builder compares the next solution's open sets against these to decide
-	// which rows it must recompute — never against Sol, which the next
-	// attempt may alias.
+	// are openIdx[openOff[vi]:openOff[vi+1]].
 	openOff []int32
 	openIdx []int32
 }
 
-// buildSnapshot validates (inst, sol) and precomputes the route table.
-// It is deliberately defensive — the fuzz target feeds it arbitrary
+// buildSnapshot validates (inst, sol) and records the placement's open
+// sets. It is deliberately defensive — the fuzz target feeds it arbitrary
 // hand-built placements — so malformed input yields an error, never a
 // panic or a mis-route: out-of-range open offices are rejected, duplicate
 // and unsorted open lists are tolerated, and videos without any open copy
-// get the unreachable sentinel rather than a default office.
+// answer unreachable rather than a default office. The snapshot copies
+// what it needs; sol may be reused or dropped afterwards.
 func buildSnapshot(inst *mip.Instance, sol *mip.Solution, version uint64, certified bool) (*Snapshot, error) {
-	s, _, err := buildSnapshotFrom(nil, nil, inst, sol, version, certified)
-	return s, err
-}
-
-// buildSnapshotFrom is buildSnapshot with an incremental mode: when prev is
-// a snapshot built on the same instance value (pointer identity — the
-// resolver's patched live instance), route rows are copied from prev instead
-// of recomputed for every video whose thresholded open set is unchanged and
-// whose demand is not in dirty (ascending video indices). An unchanged open
-// set makes the recomputation bit-identical to the copy — the row depends
-// only on the open set and the immutable cost matrix — so the incremental
-// result is byte-for-byte the full rebuild's; the dirty list is the
-// belt-and-braces invalidation for rows whose demand moved under the same
-// open set. In the same mode every sol.Videos[vi] whose placement equals
-// prev.Sol.Videos[vi] is pointed at prev's slices, so the new snapshot
-// retains only the placements that changed; sol must not be mutated
-// afterwards. Returns the snapshot and the number of rows actually
-// recomputed (== the video count on a full build).
-func buildSnapshotFrom(prev *Snapshot, dirty []int, inst *mip.Instance, sol *mip.Solution, version uint64, certified bool) (*Snapshot, int64, error) {
 	if inst == nil || sol == nil {
-		return nil, 0, fmt.Errorf("serve: nil instance or solution")
+		return nil, fmt.Errorf("serve: nil instance or solution")
 	}
 	if sol.Inst != inst {
-		return nil, 0, fmt.Errorf("serve: solution belongs to a different instance")
+		return nil, fmt.Errorf("serve: solution belongs to a different instance")
 	}
 	if len(sol.Videos) != len(inst.Demands) {
-		return nil, 0, fmt.Errorf("serve: %d video placements for %d demands", len(sol.Videos), len(inst.Demands))
+		return nil, fmt.Errorf("serve: %d video placements for %d demands", len(sol.Videos), len(inst.Demands))
 	}
 	n := inst.NumVHOs()
 	nv := len(inst.Demands)
-	incr := prev != nil && prev.Inst == inst && prev.n == n && len(prev.openOff) == nv+1
-	// Sharing writes sol.Videos, so never when sol is the published one.
-	share := incr && prev.Sol != sol && len(prev.Sol.Videos) == nv
-
 	s := &Snapshot{
 		Version:   version,
 		Inst:      inst,
-		Sol:       sol,
 		Certified: certified,
 		BuiltAt:   time.Now(),
-		route:     make([]int32, nv*n),
 		n:         n,
+		cost:      inst.CostColumns(),
 		openOff:   make([]int32, nv+1),
 	}
-	if incr {
-		// Library ids are immutable under a patch, so the previous table —
-		// validated when prev was built — is shared as-is.
-		s.vidIdx = prev.vidIdx
-		s.openIdx = make([]int32, 0, len(prev.openIdx))
-	} else {
-		maxID := -1
-		for vi := range inst.Demands {
-			id := inst.Demands[vi].Video
-			if id < 0 {
-				return nil, 0, fmt.Errorf("serve: video index %d has negative library id %d", vi, id)
-			}
-			if id > maxID {
-				maxID = id
-			}
+	maxID := -1
+	for vi := range inst.Demands {
+		id := inst.Demands[vi].Video
+		if id < 0 {
+			return nil, fmt.Errorf("serve: video index %d has negative library id %d", vi, id)
 		}
-		s.vidIdx = make([]int32, maxID+1)
-		for i := range s.vidIdx {
-			s.vidIdx[i] = -1
+		maxID = max(maxID, id)
+	}
+	s.vidIdx = make([]int32, maxID+1)
+	for i := range s.vidIdx {
+		s.vidIdx[i] = -1
+	}
+	for vi := range inst.Demands {
+		id := inst.Demands[vi].Video
+		if s.vidIdx[id] != -1 {
+			return nil, fmt.Errorf("serve: duplicate library id %d", id)
 		}
-		for vi := range inst.Demands {
-			id := inst.Demands[vi].Video
-			if s.vidIdx[id] != -1 {
-				return nil, 0, fmt.Errorf("serve: duplicate library id %d", id)
-			}
-			s.vidIdx[id] = int32(vi)
-		}
+		s.vidIdx[id] = int32(vi)
 	}
 
-	// Cheapest-copy routes: for each destination j, the open office with the
-	// minimal transfer cost c_ij; strict < keeps the lowest office index on
-	// ties, matching the from-scratch recomputation the tests do. Open-set
-	// extraction and validation always run for every video — only the
-	// per-destination scan is skipped on a reused row.
-	var rebuilt int64
-	var open []int32
-	di := 0
+	// Sized exactly: the open-office list is most of what a published
+	// snapshot retains.
+	nnz := 0
 	for vi := range sol.Videos {
-		open = open[:0]
+		for _, f := range sol.Videos[vi].Open {
+			if f.V >= openY {
+				nnz++
+			}
+		}
+	}
+	s.openIdx = make([]int32, 0, nnz)
+	for vi := range sol.Videos {
 		for _, f := range sol.Videos[vi].Open {
 			if f.V < openY {
 				continue
 			}
 			if int(f.I) < 0 || int(f.I) >= n {
-				return nil, 0, fmt.Errorf("serve: video %d open office %d out of range [0,%d)", vi, f.I, n)
+				return nil, fmt.Errorf("serve: video %d open office %d out of range [0,%d)", vi, f.I, n)
 			}
-			open = append(open, f.I)
+			s.openIdx = append(s.openIdx, f.I)
 		}
-		s.openIdx = append(s.openIdx, open...)
 		s.openOff[vi+1] = int32(len(s.openIdx))
-
-		if share && samePlacement(&sol.Videos[vi], &prev.Sol.Videos[vi]) {
-			sol.Videos[vi] = prev.Sol.Videos[vi]
-		}
-		row := s.route[vi*n : (vi+1)*n]
-		if incr {
-			for di < len(dirty) && dirty[di] < vi {
-				di++
-			}
-			isDirty := di < len(dirty) && dirty[di] == vi
-			if !isDirty && openSetEqual(open, prev.openIdx[prev.openOff[vi]:prev.openOff[vi+1]]) {
-				copy(row, prev.route[vi*n:(vi+1)*n])
-				continue
-			}
-		}
-		rebuilt++
-		if len(open) == 0 {
-			for j := range row {
-				row[j] = -1
-			}
-			continue
-		}
-		for j := 0; j < n; j++ {
-			best := open[0]
-			bestCost := inst.Cost(int(open[0]), j)
-			for _, i := range open[1:] {
-				if c := inst.Cost(int(i), j); c < bestCost || (c == bestCost && i < best) {
-					best, bestCost = i, c
-				}
-			}
-			row[j] = best
-		}
 	}
-	return s, rebuilt, nil
+	return s, nil
 }
 
-// openSetEqual reports whether two thresholded open-office lists are
-// identical (same offices in the same order — the deterministic solver
-// emits open sets ascending, so order equality is set equality; an
-// order-only difference merely costs one conservative recomputation).
-func openSetEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
+// open returns video index vi's open offices.
+func (s *Snapshot) open(vi int32) []int32 {
+	return s.openIdx[s.openOff[vi]:s.openOff[vi+1]]
+}
+
+// serving returns the cheapest copy in open for a request at office j: the
+// open office with minimal transfer cost c_ij, lowest office index on ties;
+// -1 when open is empty. Every answer the data plane gives goes through here.
+func (s *Snapshot) serving(open []int32, j int) int32 {
+	if len(open) == 0 {
+		return -1
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	col := s.cost[j*s.n : (j+1)*s.n]
+	best := open[0]
+	bestCost := col[best]
+	for _, i := range open[1:] {
+		if c := col[i]; c < bestCost || (c == bestCost && i < best) {
+			best, bestCost = i, c
 		}
 	}
-	return true
+	return best
 }
 
-// samePlacement reports whether two video placements hold equal open and
-// assignment entries.
-func samePlacement(a, b *mip.VideoPlacement) bool {
-	return slices.Equal(a.Open, b.Open) && slices.EqualFunc(a.Assign, b.Assign, slices.Equal[[]mip.Frac])
-}
-
-// routeDelta counts route-table entries that differ between two snapshots,
-// matching videos by library id so re-solves over a changed catalog compare
-// sensibly: a video present on only one side contributes a full row (its
-// every destination changed answer), matched videos contribute their
-// per-destination differences. This is the churn number a swap event
-// reports — how many (video, office) routing answers the swap changed.
-func routeDelta(old, cur *Snapshot) int64 {
+// routeDelta compares the answers of two consecutive snapshots, matching
+// videos by library id so re-solves over a changed catalog compare
+// sensibly. changed counts the (video, office) routing answers that differ
+// — a video present on only one side contributes a full row — and is the
+// churn number a swap event reports. rebuilt counts the videos whose
+// answers had to be re-derived: those whose open set changed when both
+// snapshots index the same live instance, every video otherwise (a full
+// rebuild re-streams the catalog). A video with an unchanged open set over
+// the same cost table answers every office the same, so it is skipped.
+func routeDelta(old, cur *Snapshot) (changed, rebuilt int64) {
+	nv := int64(len(cur.openOff) - 1)
 	if old == nil {
-		return int64(len(cur.route))
+		return nv * int64(cur.n), nv
 	}
-	var d int64
-	for id := range cur.vidIdx {
-		vi := cur.vidIdx[id]
+	sameInst := old.Inst == cur.Inst
+	if !sameInst {
+		rebuilt = nv
+	}
+	sameCost := old.n == cur.n && slices.Equal(old.cost, cur.cost)
+	for id, vi := range cur.vidIdx {
 		if vi < 0 {
 			continue
 		}
@@ -245,26 +183,28 @@ func routeDelta(old, cur *Snapshot) int64 {
 			ovi = old.vidIdx[id]
 		}
 		if ovi < 0 || old.n != cur.n {
-			d += int64(cur.n)
+			changed += int64(cur.n) // only across instances: ids are immutable
 			continue
 		}
-		row := cur.route[int(vi)*cur.n : (int(vi)+1)*cur.n]
-		orow := old.route[int(ovi)*old.n : (int(ovi)+1)*old.n]
-		for j := range row {
-			if row[j] != orow[j] {
-				d++
+		open, oldOpen := cur.open(vi), old.open(ovi)
+		if sameCost && slices.Equal(open, oldOpen) {
+			continue
+		}
+		if sameInst {
+			rebuilt++
+		}
+		for j := 0; j < cur.n; j++ {
+			if cur.serving(open, j) != old.serving(oldOpen, j) {
+				changed++
 			}
 		}
 	}
-	for id := range old.vidIdx {
-		if old.vidIdx[id] < 0 {
-			continue
-		}
-		if id >= len(cur.vidIdx) || cur.vidIdx[id] < 0 {
-			d += int64(old.n)
+	for id, ovi := range old.vidIdx {
+		if ovi >= 0 && (id >= len(cur.vidIdx) || cur.vidIdx[id] < 0) {
+			changed += int64(old.n)
 		}
 	}
-	return d
+	return changed, rebuilt
 }
 
 // Route returns the serving office for library video id at office vho.
@@ -278,15 +218,12 @@ func (s *Snapshot) Route(videoID, vho int) (office int, ok bool) {
 	if vi < 0 {
 		return -1, false
 	}
-	i := s.route[int(vi)*s.n+vho]
-	if i < 0 {
-		return -1, false
-	}
-	return int(i), true
+	i := s.serving(s.open(vi), vho)
+	return int(i), i >= 0
 }
 
 // NumVideos returns the number of videos in this placement.
-func (s *Snapshot) NumVideos() int { return len(s.Inst.Demands) }
+func (s *Snapshot) NumVideos() int { return len(s.openOff) - 1 }
 
 // NumVHOs returns the number of offices.
 func (s *Snapshot) NumVHOs() int { return s.n }
@@ -301,9 +238,9 @@ const (
 // AppendRoute answers one /route lookup: it appends the JSON response body
 // for (videoID, vho) to buf and returns the extended buffer plus the HTTP
 // status code. This is the data-plane hot path — a version-stamped route
-// answer is two array loads and a hand-rolled JSON encode into the caller's
-// reused buffer, so the steady state allocates nothing (pinned by
-// TestRouteZeroAllocations).
+// answer is an id-map load, a scan of the video's open copies and a
+// hand-rolled JSON encode into the caller's reused buffer, so the steady
+// state allocates nothing (pinned by TestRouteZeroAllocations).
 func (s *Snapshot) AppendRoute(buf []byte, videoID, vho int) ([]byte, int) {
 	if vho < 0 || vho >= s.n {
 		buf = append(buf, `{"error":"unknown vho"`...)
@@ -323,7 +260,7 @@ func (s *Snapshot) AppendRoute(buf []byte, videoID, vho int) ([]byte, int) {
 		buf = append(buf, "}\n"...)
 		return buf, routeNotFound
 	}
-	i := s.route[int(vi)*s.n+vho]
+	i := s.serving(s.open(vi), vho)
 	if i < 0 {
 		buf = append(buf, `{"error":"unreachable"`...)
 		buf = appendKV(buf, `,"video":`, int64(videoID))

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"vodplace/internal/epf"
+	"vodplace/internal/mip"
 )
 
 // TestSnapshotSwapRace hammers /route from concurrent readers while the
@@ -225,4 +226,75 @@ func TestCloseDiscardsInflightResolve(t *testing.T) {
 
 	// Close is idempotent.
 	s.Close()
+}
+
+// TestResolvePanicContained pins panic containment in the resolver: a solve
+// that panics ends its attempt with verdict failed and the panic text,
+// bumps the panicked counter on /status and /metrics, and leaves the
+// previous snapshot serving; the next demand batch still swaps.
+func TestResolvePanicContained(t *testing.T) {
+	orig := solveInteger
+	var calls atomic.Int32
+	solveInteger = func(ctx context.Context, inst *mip.Instance, opts epf.Options) (*epf.Result, error) {
+		if calls.Add(1) == 1 {
+			panic("injected solver fault")
+		}
+		return orig(ctx, inst, opts)
+	}
+	t.Cleanup(func() { solveInteger = orig })
+	s := testServer(t, 30, 6, 41) // its Close cleanup runs before the restore
+	mux := s.Handler()
+	id := s.Snapshot().Inst.Demands[0].Video
+	post := func() {
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`[{"video":%d,"vho":1,"add":40}]`, id)
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/demand", strings.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("POST /demand: %d %s", rec.Code, rec.Body)
+		}
+	}
+	waitFor := func(what string, cond func(Stats) bool) Stats {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			st := s.Stats()
+			if cond(st) {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; stats %+v", what, st)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	post()
+	st := waitFor("the panicking attempt", func(st Stats) bool { return st.Failed > 0 })
+	if st.Panicked != 1 || st.Failed != 1 || st.Version != 1 {
+		t.Fatalf("after panic: panicked %d failed %d version %d, want 1/1/1", st.Panicked, st.Failed, st.Version)
+	}
+	if !strings.Contains(st.LastReject, "panic: injected solver fault") {
+		t.Errorf("last reject %q does not carry the panic text", st.LastReject)
+	}
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/route?video=%d&vho=0", id), nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"version":1}`) {
+		t.Errorf("route after panic: %d %s, want 200 from v1", rec.Code, rec.Body)
+	}
+	var status statusJSON
+	rec = httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/status", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &status); err != nil || status.Resolves.Panicked != 1 {
+		t.Errorf("/status resolves.panicked = %d (%v), want 1", status.Resolves.Panicked, err)
+	}
+	rec = httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "serve_resolves_panicked 1\n") {
+		t.Errorf("/metrics lacks serve_resolves_panicked 1:\n%s", rec.Body)
+	}
+
+	post()
+	st = waitFor("the next swap", func(st Stats) bool { return st.Version >= 2 || st.Failed > 1 })
+	if st.Version != 2 || st.ResolvesSwapped != 1 || st.Failed != 1 {
+		t.Fatalf("after the next batch: version %d swapped %d failed %d, want 2/1/1", st.Version, st.ResolvesSwapped, st.Failed)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vodplace/internal/epf"
+	"vodplace/internal/mip"
 	"vodplace/internal/obs"
 )
 
@@ -200,31 +201,58 @@ func TestStatusTelemetryFields(t *testing.T) {
 	}
 }
 
-// TestRouteDelta pins the swap-churn computation.
+// TestRouteDelta pins the swap-churn computation against a from-scratch
+// count over dense cheapest-copy tables, and the re-derived row count: the
+// videos whose open set moved on a shared instance, every video across
+// instances.
 func TestRouteDelta(t *testing.T) {
-	s := testServer(t, 30, 6, 20)
-	snap := s.Snapshot()
-	same, err := buildSnapshot(snap.Inst, snap.Sol, 2, true)
-	if err != nil {
-		t.Fatal(err)
+	const videos, vhos = 60, 6
+	inst := syntheticInstance(t, videos, vhos, 1, 20)
+	open := make([][]int32, videos)
+	for vi := range open {
+		open[vi] = []int32{int32(vi % vhos)}
 	}
-	if d := routeDelta(snap, same); d != 0 {
-		t.Errorf("identical snapshots delta %d, want 0", d)
+	build := func(inst *mip.Instance, version uint64) *Snapshot {
+		snap, err := buildSnapshot(inst, shareSol(inst, open), version, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	if d := routeDelta(nil, snap); d != int64(len(snap.route)) {
-		t.Errorf("nil-old delta %d, want full table %d", d, len(snap.route))
+	snap := build(inst, 1)
+	if d, r := routeDelta(snap, build(inst, 2)); d != 0 || r != 0 {
+		t.Errorf("identical snapshots: delta %d, re-derived %d; want 0, 0", d, r)
 	}
-	// Flipping one route entry is a delta of exactly 1.
-	mod, err := buildSnapshot(snap.Inst, snap.Sol, 3, true)
-	if err != nil {
-		t.Fatal(err)
+	if d, r := routeDelta(nil, snap); d != videos*vhos || r != videos {
+		t.Errorf("nil old: delta %d, re-derived %d; want %d, %d", d, r, videos*vhos, videos)
 	}
-	old := mod.route[0]
-	mod.route[0] = old + 1
-	if d := routeDelta(snap, mod); d != 1 {
-		t.Errorf("one-entry delta %d, want 1", d)
+
+	// Move two videos: one gains a copy, one moves its only copy.
+	before := shareSol(inst, open)
+	open[4] = []int32{4, 1}
+	open[7] = []int32{2}
+	after := shareSol(inst, open)
+	var want int64
+	for _, vi := range []int{4, 7} {
+		for j := 0; j < vhos; j++ {
+			if cheapestCopy(inst, before, vi, j) != cheapestCopy(inst, after, vi, j) {
+				want++
+			}
+		}
 	}
-	mod.route[0] = old
+	if want == 0 {
+		t.Fatal("test moves change no route; pick other offices")
+	}
+	moved := build(inst, 3)
+	if d, r := routeDelta(snap, moved); d != want || r != 2 {
+		t.Errorf("two moved videos: delta %d, re-derived %d; want %d, 2", d, r, want)
+	}
+
+	// A different instance object (a full rebuild) re-derives every row.
+	other := syntheticInstance(t, videos, vhos, 1, 20)
+	if d, r := routeDelta(moved, build(other, 4)); d != 0 || r != videos {
+		t.Errorf("rebuilt instance: delta %d, re-derived %d; want 0, %d", d, r, videos)
+	}
 }
 
 // TestDemandDrift pins the drift accounting: accumulation on apply

@@ -11,8 +11,9 @@
 // rebuilt row counts within the table — and exits nonzero on any
 // violation: the serving plane promises these properties, so a violating
 // trace is evidence of a bug. -expect-delta additionally requires that at
-// least one swap was built incrementally (rebuilt < rows) — the smoke
-// tests' proof that the delta resolve path actually fired.
+// least one swap re-derived fewer route rows than the catalog holds
+// (rebuilt < rows), which only a swap on the patched live instance can —
+// the smoke tests' proof that the delta resolve path actually fired.
 //
 // Usage:
 //
@@ -86,7 +87,7 @@ func main() {
 	if *check {
 		bad := violations(events)
 		if *expectDelta && !hasIncrementalSwap(events) {
-			bad = append(bad, "no incremental swap in trace (every snapshot build recomputed the full route table)")
+			bad = append(bad, "no incremental swap in trace (every swap re-derived every route row)")
 		}
 		if len(bad) > 0 {
 			for _, m := range bad {
@@ -272,8 +273,8 @@ func writeLatency(w io.Writer, samples []obs.PromSample) {
 //     without a start, no start left open at end of trace.
 //  4. a swap's delta economy is coherent: when it reports a table size
 //     (rows > 0, i.e. a post-delta trace), the rebuilt count must lie in
-//     [0, rows] — a count outside the table means the incremental builder
-//     miscounted its work.
+//     [0, rows] — a count outside the table means the swap miscounted the
+//     rows it re-derived.
 //
 // Messages are returned in trace order, deterministically.
 func violations(events []obs.Event) []string {
@@ -331,9 +332,8 @@ func violations(events []obs.Event) []string {
 	return out
 }
 
-// hasIncrementalSwap reports whether any swap in the trace was built
-// incrementally — it reports a table size and recomputed strictly fewer
-// rows than it. The -expect-delta check, used by the serve smoke test to
+// hasIncrementalSwap reports whether any swap in the trace was incremental
+// — it reports a table size and re-derived strictly fewer rows than it. The -expect-delta check, used by the serve smoke test to
 // assert the delta resolve path actually fired.
 func hasIncrementalSwap(events []obs.Event) bool {
 	for i := range events {
