@@ -394,7 +394,7 @@ type solver struct {
 	// allocation-free.
 	roundScratch *workerScratch
 	roundSol     intSol   // the current visit's integer block solution
-	polishWarm   []int32  // the visited block's integer open set (warm seed)
+	polishWarm   []int32  // open-set scratch: a polish visit's warm seed, a threshold open set
 	step         stepRows // integerStepImproves row accumulator
 
 	// Cross-period warm-start state (Options.Warm / Result.Warm).
@@ -688,7 +688,7 @@ func (s *solver) initSolution() {
 	s.sol = make([]blockSol, len(s.inst.Demands))
 	for vi := range s.inst.Demands {
 		if open := s.warmVideoOpen(vi); open != nil {
-			s.seedWarmBlock(vi, open)
+			s.seedIntegralBlock(vi, open)
 			s.stats.WarmVideos++
 			continue
 		}

@@ -166,6 +166,11 @@ func TestWarmParallelRoundInvariance(t *testing.T) {
 					t.Errorf("parallelRound=%v workers=%d shards=%d: warm rounded solutions differ",
 						parallelRound, workers, shards)
 				}
+				if res.Stats.RoundWorkSet != base.Stats.RoundWorkSet || res.Stats.PolishVisits != base.Stats.PolishVisits {
+					t.Errorf("parallelRound=%v workers=%d shards=%d: rounding working set %d, %d polish visits; baseline %d, %d",
+						parallelRound, workers, shards, res.Stats.RoundWorkSet, res.Stats.PolishVisits,
+						base.Stats.RoundWorkSet, base.Stats.PolishVisits)
+				}
 			}
 		}
 	}

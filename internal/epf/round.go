@@ -37,6 +37,11 @@ func integralBlock(bs *blockSol) bool {
 // in internal/facloc), then committed at full step so later videos see the
 // updated congestion. Duals are refreshed every rounding chunk; the paper
 // notes the whole pass costs about as much as one gradient-descent pass.
+//
+// Every step below — forced rounding, both polish starts and the threshold
+// start — touches only the working set (roundWorkSet): the whole catalog on
+// cold solves, and on warm solves the videos the descent moved off their
+// warm seed. Every other video keeps its warm open set.
 func (s *solver) round(res *Result) {
 	roundStart := time.Now()
 	// Retarget the potential for the integer phase. The LP phase left
@@ -55,8 +60,10 @@ func (s *solver) round(res *Result) {
 		s.roundScratch.used = make([]bool, s.n)
 	}
 
+	work := s.roundWorkSet()
+	s.stats.RoundWorkSet = len(work)
 	var frac []int
-	for vi := range s.sol {
+	for _, vi := range work {
 		if !integralBlock(&s.sol[vi]) {
 			frac = append(frac, vi)
 		}
@@ -98,7 +105,7 @@ func (s *solver) round(res *Result) {
 	bestScore := math.Inf(1)
 	haveBest := false
 	s.considerIntegerIncumbent(&bestScore, &haveBest)
-	s.polishInteger(&bestScore, &haveBest)
+	s.polishInteger(work, &bestScore, &haveBest)
 
 	// Second candidate: threshold rounding of the fractional point (open
 	// y ≥ ½ plus the argmax office, serve each office from its cheapest
@@ -106,14 +113,11 @@ func (s *solver) round(res *Result) {
 	// instances the potential-guided rounding can settle in a poor local
 	// optimum that this start escapes. Skipped entirely on cancellation —
 	// the first candidate's incumbent is the prompt answer.
-	if s.ctx.Err() == nil {
-		if thr := thresholdRound(s.inst, res.Sol); thr != nil {
-			s.loadSolution(thr)
-			s.recomputeState()
-			s.retuneScale()
-			s.considerIntegerIncumbent(&bestScore, &haveBest)
-			s.polishInteger(&bestScore, &haveBest)
-		}
+	if s.ctx.Err() == nil && s.loadThreshold(res.Sol, work) {
+		s.recomputeState()
+		s.retuneScale()
+		s.considerIntegerIncumbent(&bestScore, &haveBest)
+		s.polishInteger(work, &bestScore, &haveBest)
 	}
 
 	if haveBest {
@@ -139,22 +143,23 @@ const (
 	polishStall  = 3
 )
 
-// polishInteger runs integer polish passes on the current integral point:
-// every video is re-solved at live duals and replaced when the step
-// criterion accepts; the shared incumbent tracks the best visited point.
-// Rounding decisions were made one video at a time, so early videos may sit
-// badly once later videos have landed (e.g. stacked on an office the duals
-// later discover is overfull); this is the integer analogue of a gradient
-// pass and costs about the same per pass.
+// polishInteger runs integer polish passes over the working set work on the
+// current integral point: every listed video is re-solved at live duals and
+// replaced when the step criterion accepts; the shared incumbent tracks the
+// best visited point. Rounding decisions were made one video at a time, so
+// early videos may sit badly once later videos have landed (e.g. stacked on
+// an office the duals later discover is overfull); this is the integer
+// analogue of a gradient pass and costs about the same per pass.
 //
-// A stalled start still draws the shuffles of the passes it skips, so the
-// random stream any later start sees does not depend on where this one
-// stalled.
-func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
-	order := make([]int, len(s.sol))
-	for i := range order {
-		order[i] = i
-	}
+// Every pass, run or skipped, shuffles a copy of work, so a start's draws
+// on the solver's random stream scale with |work| (fixed per solve, the
+// whole catalog on cold solves). A stalled start still draws the shuffles
+// of the passes it skips, so the stall rule never moves the stream a later
+// start sees. The exit after a potential pass that changed nothing skips
+// the remaining shuffles, so the threshold start's stream does depend on
+// whether, and after which pass, the first start took that exit.
+func (s *solver) polishInteger(work []int, bestScore *float64, haveBest *bool) {
+	order := slices.Clone(work)
 	stalled := 0
 	for pass := 0; pass < polishPasses; pass++ {
 		if s.ctx.Err() != nil {
@@ -194,6 +199,7 @@ func (s *solver) polishInteger(bestScore *float64, haveBest *bool) {
 			}
 			dcCap = max(dcCap, floor)
 			for _, vi := range order[lo:hi] {
+				s.stats.PolishVisits++
 				if s.roundVisit(vi, true, useMerit, dcCap) {
 					changed++
 				}
@@ -251,28 +257,22 @@ func (s *solver) roundVisit(vi int, polish, useMerit bool, dcCap float64) bool {
 	return ok
 }
 
-// loadSolution overwrites the solver's per-video state with sol.
-func (s *solver) loadSolution(sol *mip.Solution) {
-	for vi := range s.sol {
-		bs := &s.sol[vi]
-		bs.open = append(bs.open[:0], sol.Videos[vi].Open...)
-		for k := range bs.assign {
-			bs.assign[k] = append(bs.assign[k][:0], sol.Videos[vi].Assign[k]...)
+// loadThreshold overwrites the blocks of the working set work with the
+// threshold rounding of the fractional solution frac: every office with
+// y ≥ ½ opens (always at least the largest-y office) and each demand office
+// is served from its cheapest open copy. It changes nothing and reports
+// false when frac misses one of those videos entirely.
+func (s *solver) loadThreshold(frac *mip.Solution, work []int) bool {
+	for _, vi := range work {
+		if !slices.ContainsFunc(frac.Videos[vi].Open, func(f mip.Frac) bool { return f.V > 0 }) {
+			return false
 		}
 	}
-}
-
-// thresholdRound rounds a fractional solution by opening every office with
-// y ≥ ½ (always at least the largest-y office) and assigning each demand
-// office to its cheapest open copy.
-func thresholdRound(inst *mip.Instance, frac *mip.Solution) *mip.Solution {
-	sol := mip.NewSolution(inst)
-	for vi := range frac.Videos {
-		fp := &frac.Videos[vi]
+	for _, vi := range work {
 		var best int32 = -1
 		var bestV float64
-		var open []int32
-		for _, f := range fp.Open {
+		open := s.polishWarm[:0]
+		for _, f := range frac.Videos[vi].Open {
 			if f.V > bestV {
 				bestV, best = f.V, f.I
 			}
@@ -281,28 +281,12 @@ func thresholdRound(inst *mip.Instance, frac *mip.Solution) *mip.Solution {
 			}
 		}
 		if len(open) == 0 {
-			if best < 0 {
-				return nil // fractional solution misses a video entirely
-			}
 			open = append(open, best)
 		}
-		for _, i := range open {
-			sol.Videos[vi].Open = append(sol.Videos[vi].Open, mip.Frac{I: i, V: 1})
-		}
-		d := &inst.Demands[vi]
-		for k := range d.Js {
-			j := int(d.Js[k])
-			bi := open[0]
-			bc := inst.Cost(int(open[0]), j)
-			for _, i := range open[1:] {
-				if c := inst.Cost(int(i), j); c < bc {
-					bc, bi = c, i
-				}
-			}
-			sol.Videos[vi].Assign[k] = []mip.Frac{{I: bi, V: 1}}
-		}
+		s.polishWarm = open
+		s.seedIntegralBlock(vi, open)
 	}
-	return sol
+	return true
 }
 
 // considerIntegerIncumbent scores the current integer point — objective with

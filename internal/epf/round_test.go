@@ -132,3 +132,55 @@ func TestPolishStallKeepsRandomStream(t *testing.T) {
 		}
 	}
 }
+
+// The integer phase's working set is the whole catalog on a cold solve,
+// and every polish pass visits all of it. A warm solve seeded from its own
+// result leaves most blocks on their warm seed, so its working set is
+// smaller, and every video outside it publishes exactly its warm open set.
+func TestRoundWorkSet(t *testing.T) {
+	inst := randomInstance(t, 11, 10, 90, 2.0, 150)
+	opts := Options{Seed: 3, Workers: 1, IncrementalPricing: true, MaxPasses: 60}
+	cold, err := SolveInteger(inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(inst.Demands)
+	if st := cold.Stats; st.RoundWorkSet != n || st.PolishVisits != int64(st.PolishPasses*n) || st.PolishPasses == 0 {
+		t.Errorf("cold: working set %d of %d videos, %d polish visits over %d passes; want the catalog every pass",
+			st.RoundWorkSet, n, st.PolishVisits, st.PolishPasses)
+	}
+
+	opts.Warm = cold.Warm
+	s, err := newSolver(inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	res := s.run(context.Background())
+	work := s.roundWorkSet()
+	s.round(res)
+	if len(work) >= n || res.Stats.RoundWorkSet != len(work) {
+		t.Fatalf("warm: working set %d (Stats %d) of %d videos, want a proper subset", len(work), res.Stats.RoundWorkSet, n)
+	}
+	if st := res.Stats; st.PolishVisits != int64(st.PolishPasses*len(work)) {
+		t.Errorf("warm: %d polish visits over %d passes of %d videos", st.PolishVisits, st.PolishPasses, len(work))
+	}
+	inWork := make([]bool, n)
+	for _, vi := range work {
+		inWork[vi] = true
+	}
+	for vi := range inst.Demands {
+		if inWork[vi] {
+			continue
+		}
+		want := cold.Warm.Videos[inst.Demands[vi].Video].Open
+		got := res.Sol.Videos[vi].Open
+		same := len(got) == len(want)
+		for x := 0; same && x < len(got); x++ {
+			same = got[x].I == want[x] && got[x].V == 1
+		}
+		if !same {
+			t.Errorf("video %d outside the working set: open %v, want its warm set %v", vi, got, want)
+		}
+	}
+}

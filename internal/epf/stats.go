@@ -42,6 +42,13 @@ type Stats struct {
 	// rounding starts: at most 2·6, fewer when a start stalls (three passes
 	// without a new incumbent) or converges.
 	PolishPasses int
+	// PolishVisits counts the integer polish visits (block re-solves) over
+	// both rounding starts: PolishPasses × RoundWorkSet.
+	PolishVisits int64
+	// RoundWorkSet is the number of videos the integer phase could touch:
+	// the whole catalog on cold solves; on warm solves the videos the
+	// descent moved off their warm seed, plus those without one.
+	RoundWorkSet int
 	// WarmStartTries / WarmStartHits report the warm-start economy: block
 	// solves seeded from a previous open set (descent solves in the
 	// IncrementalPricing mode, every integer polish visit, and forced
@@ -96,6 +103,8 @@ func (st Stats) String() string {
 		st.BlocksOptimized, st.LBBlockSolves, st.LBEvals, st.Polishes)
 	fmt.Fprintf(&b, "dual refreshes %d, line searches %d, integer polish passes %d\n",
 		st.DualRefreshes, st.LineSearches, st.PolishPasses)
+	fmt.Fprintf(&b, "rounding working set %d videos, polish visits %d\n",
+		st.RoundWorkSet, st.PolishVisits)
 	if st.WarmStartTries > 0 {
 		fmt.Fprintf(&b, "warm starts: %d tried, %d won\n", st.WarmStartTries, st.WarmStartHits)
 	}

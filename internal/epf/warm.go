@@ -102,30 +102,77 @@ func (s *solver) warmVideoOpen(vi int) []int32 {
 	return wv.Open
 }
 
-// seedWarmBlock initializes block vi from the warm open set: every listed
-// office holds a full copy and each demand office is served from its
-// cheapest open copy (lowest index on ties, matching the deterministic scan
-// order used everywhere else).
-func (s *solver) seedWarmBlock(vi int, open []int32) {
+// seedIntegralBlock sets block vi to the integral block with the given open
+// set: every listed office holds a full copy and each demand office is
+// served from its cheapest open copy (the earliest listed on ties — the
+// lowest index for an ascending set, matching the deterministic scan order
+// used everywhere else). The block's buffers are reused.
+func (s *solver) seedIntegralBlock(vi int, open []int32) {
 	d := &s.inst.Demands[vi]
 	bs := &s.sol[vi]
 	bs.open = bs.open[:0]
 	for _, i := range open {
 		bs.open = append(bs.open, mip.Frac{I: i, V: 1})
 	}
-	bs.assign = make([][]mip.Frac, len(d.Js))
-	n := s.n
-	for k := range bs.assign {
-		col := s.costT[int(d.Js[k])*n : (int(d.Js[k])+1)*n]
-		bi := open[0]
-		bc := col[open[0]]
-		for _, i := range open[1:] {
-			if col[i] < bc {
-				bc, bi = col[i], i
-			}
-		}
-		bs.assign[k] = []mip.Frac{{I: bi, V: 1}}
+	if bs.assign == nil {
+		bs.assign = make([][]mip.Frac, len(d.Js))
 	}
+	for k := range bs.assign {
+		bs.assign[k] = append(bs.assign[k][:0], mip.Frac{I: s.cheapestOpen(d.Js[k], open), V: 1})
+	}
+}
+
+// cheapestOpen returns the office of open that serves demand office j at the
+// least cost, the earliest listed on ties.
+func (s *solver) cheapestOpen(j int32, open []int32) int32 {
+	col := s.costT[int(j)*s.n : (int(j)+1)*s.n]
+	bi := open[0]
+	for _, i := range open[1:] {
+		if col[i] < col[bi] {
+			bi = i
+		}
+	}
+	return bi
+}
+
+// roundWorkSet returns, ascending, the videos the integer phase may touch.
+// Cold solves touch the whole catalog. A warm solve touches every video
+// whose block is not exactly the integral block its valid warm open set
+// seeded (fractional, or a different open set or assignment — the descent
+// moved it), plus every video that had no valid warm seed; every other
+// video is already an integral block on the previous period's open set and
+// keeps it. The set is computed from solver state alone:
+// Options.DirtyVideos is telemetry and never enters it (DESIGN.md §13).
+func (s *solver) roundWorkSet() []int {
+	work := make([]int, 0, len(s.sol))
+	for vi := range s.sol {
+		if s.opts.Warm == nil || !s.atWarmSeed(vi) {
+			work = append(work, vi)
+		}
+	}
+	return work
+}
+
+// atWarmSeed reports whether block vi is exactly the block seedIntegralBlock
+// builds from its valid warm open set.
+func (s *solver) atWarmSeed(vi int) bool {
+	open := s.warmVideoOpen(vi)
+	bs := &s.sol[vi]
+	if open == nil || len(bs.open) != len(open) {
+		return false
+	}
+	for x, f := range bs.open {
+		if f.I != open[x] || f.V != 1 {
+			return false
+		}
+	}
+	d := &s.inst.Demands[vi]
+	for k, fr := range bs.assign {
+		if len(fr) != 1 || fr[0].V != 1 || fr[0].I != s.cheapestOpen(d.Js[k], open) {
+			return false
+		}
+	}
+	return true
 }
 
 // seedWarmDescent folds the warm state into the freshly initialized descent:

@@ -152,6 +152,8 @@ type Event struct {
 	Reason       string  `json:"reason"`
 	WarmFrac     float64 `json:"warmfrac"`
 	SolveMS      float64 `json:"solvems"`
+	DescentMS    float64 `json:"descentms"`
+	RoundMS      float64 `json:"roundms"`
 	AuditMS      float64 `json:"auditms"`
 	BuildMS      float64 `json:"buildms"`
 	RDelta       int64   `json:"rdelta"`

@@ -25,11 +25,18 @@ type ServeResolve struct {
 	WarmFrac float64 `json:"warmfrac"` // done: fraction of videos warm-started from the previous solve
 	Passes   int     `json:"passes"`   // done: descent passes the solve took
 	SolveMS  float64 `json:"solvems"`  // done: integer-solve wall time
-	AuditMS  float64 `json:"auditms"`  // done: certification wall time
-	BuildMS  float64 `json:"buildms"`  // done, swapped: snapshot build+publish wall time
-	Dirty    int     `json:"dirty"`    // done: demand-dirty videos this attempt resolved
-	Rebuilt  int64   `json:"rebuilt"`  // done, swapped: route rows re-derived against the previous snapshot (see ServeSwap)
-	TMS      float64 `json:"tms"`      // ms since recorder start (stamped by the recorder)
+	// DescentMS and RoundMS split SolveMS into the solver's LP descent and
+	// its §V-D rounding and polish (epf.Stats.LPTime and RoundTime); the
+	// rest of SolveMS is the solver's set-up and result assembly. Zero
+	// when the solve returned no result, and in traces from releases that
+	// did not record them.
+	DescentMS float64 `json:"descentms"`
+	RoundMS   float64 `json:"roundms"`
+	AuditMS   float64 `json:"auditms"` // done: certification wall time
+	BuildMS   float64 `json:"buildms"` // done, swapped: snapshot build+publish wall time
+	Dirty     int     `json:"dirty"`   // done: demand-dirty videos this attempt resolved
+	Rebuilt   int64   `json:"rebuilt"` // done, swapped: route rows re-derived against the previous snapshot (see ServeSwap)
+	TMS       float64 `json:"tms"`     // ms since recorder start (stamped by the recorder)
 }
 
 // ServeSwap is one published snapshot: the moment the serving plane's
@@ -85,6 +92,8 @@ func (r *Recorder) RecordServeResolve(e ServeResolve) {
 			b = appendFloat(b, ",\"warmfrac\":", e.WarmFrac)
 			b = appendInt(b, ",\"passes\":", int64(e.Passes))
 			b = appendFloat(b, ",\"solvems\":", e.SolveMS)
+			b = appendFloat(b, ",\"descentms\":", e.DescentMS)
+			b = appendFloat(b, ",\"roundms\":", e.RoundMS)
 			b = appendFloat(b, ",\"auditms\":", e.AuditMS)
 			b = appendFloat(b, ",\"buildms\":", e.BuildMS)
 			b = appendInt(b, ",\"dirty\":", int64(e.Dirty))

@@ -155,6 +155,8 @@ func (s *Server) resolveOnce(ctx context.Context) (snap *Snapshot, err error) {
 	done.SolveMS = float64(time.Since(tSolve).Nanoseconds()) / 1e6
 	if res != nil {
 		done.Passes = res.Passes
+		done.DescentMS = float64(res.Stats.LPTime.Nanoseconds()) / 1e6
+		done.RoundMS = float64(res.Stats.RoundTime.Nanoseconds()) / 1e6
 		if nv := len(inst.Demands); nv > 0 {
 			done.WarmFrac = float64(res.Stats.WarmVideos) / float64(nv)
 		}

@@ -84,6 +84,10 @@ func TestServeLifecycleTrace(t *testing.T) {
 				if e.SolveMS <= 0 || e.Passes <= 0 || e.Reason != "" {
 					t.Errorf("swapped done %+v", e)
 				}
+				// The solver layers are parts of the solve wall time.
+				if e.DescentMS <= 0 || e.RoundMS <= 0 || e.DescentMS+e.RoundMS > e.SolveMS {
+					t.Errorf("swapped done: descent %v + round %v ms vs solve %v ms", e.DescentMS, e.RoundMS, e.SolveMS)
+				}
 			}
 		case "serve_swap":
 			swap = e

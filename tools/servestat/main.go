@@ -159,9 +159,11 @@ func (s *summary) writeTable(w io.Writer) {
 		counts := map[string]int{}
 		for _, e := range s.resolves {
 			counts[e.Verdict]++
-			fmt.Fprintf(w, "v%d  %s  %s  passes %d  warm %.0f%%  solve %s ms  audit %s ms  build %s ms",
+			// descent and round split solve by solver layer; traces that
+			// predate them read 0.
+			fmt.Fprintf(w, "v%d  %s  %s  passes %d  warm %.0f%%  solve %s ms (descent %s, round %s)  audit %s ms  build %s ms",
 				e.Version, e.Trigger, e.Verdict, e.Passes, 100*e.WarmFrac,
-				g(e.SolveMS), g(e.AuditMS), g(e.BuildMS))
+				g(e.SolveMS), g(e.DescentMS), g(e.RoundMS), g(e.AuditMS), g(e.BuildMS))
 			// Delta columns only when the attempt carried them — pre-delta
 			// traces render exactly as before.
 			if e.Dirty > 0 || e.Rebuilt > 0 {

@@ -155,7 +155,7 @@ func TestCheckRealTrace(t *testing.T) {
 	rec.RecordServeSwap(obs.ServeSwap{Version: 2, RDelta: 9, BuildMS: 0.5})
 	rec.RecordServeResolve(obs.ServeResolve{
 		Phase: "done", Version: 2, Trigger: "demand", Verdict: "swapped",
-		WarmFrac: 0.8, Passes: 6, SolveMS: 12, AuditMS: 0.5, BuildMS: 0.5,
+		WarmFrac: 0.8, Passes: 6, SolveMS: 12, DescentMS: 7, RoundMS: 4.5, AuditMS: 0.5, BuildMS: 0.5,
 	})
 	rec.RecordServeDemand(obs.ServeDemand{Batch: 3, Drift: 42})
 	if err := rec.Flush(); err != nil {
@@ -170,7 +170,8 @@ func TestCheckRealTrace(t *testing.T) {
 	}
 	var b bytes.Buffer
 	summarize(events).writeTable(&b)
-	for _, want := range []string{"== resolves ==", "== swaps ==", "== demand ==", "v2  demand  swapped"} {
+	for _, want := range []string{"== resolves ==", "== swaps ==", "== demand ==", "v2  demand  swapped",
+		"solve 12 ms (descent 7, round 4.5)"} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, b.String())
 		}
